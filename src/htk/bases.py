@@ -338,10 +338,15 @@ def _interval_ends(src_obj, tgt_obj, comp):
     return ine, oute
 
 
+@lru_cache(maxsize=None)
 def _bord_chains(a, b, c, f, g):
     """Trace the intervals of a two-layer bordism composite.
 
-    Returns ``(chains, loops)``.  A chain is a flow-ordered list of
+    Memoised per composition instance, filled on first use by zc_build's
+    composition, which consults it on every call; the result is
+    immutable.
+
+    Returns ``(chains, loops)``.  A chain is a flow-ordered tuple of
     ``(owner, comp, in_port, out_port)`` starting and ending on the
     outer boundary; ports are ``("a", i)``, ``("b", i)`` or ``("c", i)``.
     Loops are the closed cycles created in the middle.
@@ -381,12 +386,12 @@ def _bord_chains(a, b, c, f, g):
         if id(node) in seen or node[2][0] == "b":
             continue
         path, closed = walk(node)
-        chains.append(path)
+        chains.append(tuple(path))
     for node in nodes:
         if id(node) not in seen:
             path, _ = walk(node)
-            loops.append(path)
-    return chains, loops
+            loops.append(tuple(path))
+    return tuple(chains), tuple(loops)
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +448,8 @@ def bord1_skeleton(max_points=2, max_circles=1):
             for C in objects:
                 for fm in morphisms[(A, B)]:
                     for gm in morphisms[(B, C)]:
-                        chains, loops = _bord_chains(A, B, C, fm, gm)
+                        # unmemoised: the skeleton visits each instance once
+                        chains, loops = _bord_chains.__wrapped__(A, B, C, fm, gm)
                         circles = len(loops)
                         circles += sum(1 for x in fm if x[0] == "o")
                         circles += sum(1 for x in gm if x[0] == "o")
@@ -1105,7 +1111,7 @@ def field_theories(Z, budget=1_000_000):
     indecomposable morphism shape (at the induced colouring); it is kept
     when every tabulated base composition instance maps the induced
     label families to each other.  Raises RuntimeError past ``budget``
-    examined candidates.
+    examined candidates, saying how many were examined and kept.
     """
     B = Z.base
     gens = tuple(B.ind_objects)
@@ -1117,18 +1123,7 @@ def field_theories(Z, budget=1_000_000):
         if idm is not None and len(idm) == 1:
             id_shape[detached_shape((g,), (g,), idm[0])] = g
 
-    insts = []
-    for inst, h in B.compose.items():
-        (a, b, c), (f, g) = inst
-        insts.append(
-            (
-                inst,
-                tuple(detached_shape(a, b, comp) for comp in f),
-                tuple(detached_shape(b, c, comp) for comp in g),
-                tuple(detached_shape(a, c, comp) for comp in h),
-                (a, b, c),
-            )
-        )
+    insts = [(inst, _instance_shapes(inst, h)) for inst, h in B.compose.items()]
 
     out = []
     seen = 0
@@ -1150,22 +1145,34 @@ def field_theories(Z, budget=1_000_000):
             opts.append(labs)
         if dead:
             continue
+        checks = [
+            (inst, tuple(tuple(cols[s] for s in obj) for obj in inst[0]), nf, ng, nh)
+            for inst, (nf, ng, nh) in insts
+        ]
         for labchoice in product(*opts):
             seen += 1
             if seen > budget:
-                raise RuntimeError("field theory enumeration budget exceeded")
+                raise RuntimeError(
+                    f"field theory enumeration budget exceeded after examining {budget} candidates "
+                    f"({len(out)} field theories found)"
+                )
             lab = dict(zip(shapes, labchoice))
-            good = True
-            for inst, nf, ng, nh, (a, b, c) in insts:
-                ca = tuple(cols[s] for s in a)
-                cb = tuple(cols[s] for s in b)
-                cc = tuple(cols[s] for s in c)
-                lf = tuple(lab[n] for n in nf)
-                lg = tuple(lab[n] for n in ng)
-                lh = tuple(lab[n] for n in nh)
-                if Z.composition(inst, (ca, cb, cc), lf, lg) != lh:
-                    good = False
-                    break
-            if good:
+            if all(
+                Z.composition(inst, ccols, tuple(lab[x] for x in nf), tuple(lab[x] for x in ng))
+                == tuple(lab[x] for x in nh)
+                for inst, ccols, nf, ng, nh in checks
+            ):
                 out.append((dict(cols), dict(lab)))
     return out
+
+
+@lru_cache(maxsize=None)
+def _instance_shapes(inst, h):
+    """The detached shapes of the two factors and the composite of a base
+    composition instance, memoised since every search re-reads them."""
+    (a, b, c), (f, g) = inst
+    return (
+        tuple(detached_shape(a, b, comp) for comp in f),
+        tuple(detached_shape(b, c, comp) for comp in g),
+        tuple(detached_shape(a, c, comp) for comp in h),
+    )

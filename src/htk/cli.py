@@ -192,11 +192,15 @@ def _emit(P, out):
 # registries
 
 
-def _bound(args):
-    if getattr(args, "bound", None) is not None:
-        return args.bound
-    env = os.environ.get("HTK_BOUND")
-    return int(env) if env else 2
+def _bound_arg(text):
+    """An arity bound: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bound must be a non-negative integer, got {text!r}")
+    return value
 
 
 def build_named(name, bound, extra=None):
@@ -246,7 +250,7 @@ def _category_named(name):
 
 def cmd_validate(args):
     P = _load(args.path)
-    bound = _bound(args)
+    bound = args.bound
     if isinstance(P, GradedTheoryPresentation):
         report = validate_graded(P, bound)
     else:
@@ -259,7 +263,7 @@ def cmd_validate(args):
 
 
 def cmd_build(args):
-    bound = _bound(args)
+    bound = args.bound
     P = build_named(args.name, bound)
     if args.deloop_ready:
         from .constructions import deloop_support
@@ -272,7 +276,7 @@ def cmd_build(args):
 
 
 def cmd_apply(args):
-    bound = _bound(args)
+    bound = args.bound
     verb = args.verb
     inputs = [_load(p) for p in args.inputs]
     if verb == "theta":
@@ -301,7 +305,7 @@ def cmd_apply(args):
 
 
 def cmd_enum(args):
-    bound = _bound(args)
+    bound = args.bound
     if args.what == "functors":
         S, T = _load(args.args[0]), _load(args.args[1])
         n = len(enumerate_morphisms(S, T, bound, args.budget))
@@ -372,7 +376,7 @@ def cmd_check(args):
     if args.suite not in _SUITES:
         print(f"unknown suite {args.suite!r}")
         return 2
-    claims = _SUITES[args.suite](_bound(args))
+    claims = _SUITES[args.suite](args.bound)
     failed = 0
     for name, ok in sorted(claims):
         print(f"{'pass' if ok else 'FAIL'}: {name}")
@@ -393,13 +397,13 @@ def main(argv=None):
 
     p = sub.add_parser("validate", help="validate a presentation file")
     p.add_argument("path")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_bound_arg)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", help="write a zoo presentation")
     p.add_argument("name")
     p.add_argument("-o", "--output")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_bound_arg)
     p.add_argument(
         "--deloop-ready",
         action="store_true",
@@ -414,7 +418,7 @@ def main(argv=None):
     )
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_bound_arg)
     p.add_argument("--colours", help="JSON pair list for detheorize")
     p.add_argument("--colour", help="JSON colour for endo")
     p.set_defaults(fn=cmd_apply)
@@ -429,12 +433,12 @@ def main(argv=None):
         default=2,
         help="colour refinement budget for the algebra enumeration",
     )
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_bound_arg)
     p.set_defaults(fn=cmd_enum)
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("suite")
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_bound_arg)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("fmt", help="rewrite a file in canonical form")
@@ -443,6 +447,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_fmt)
 
     args = parser.parse_args(argv)
+    if hasattr(args, "bound") and args.bound is None:
+        try:
+            args.bound = _bound_arg(os.environ.get("HTK_BOUND") or "2")
+        except argparse.ArgumentTypeError as e:
+            parser.error(f"HTK_BOUND: {e}")
     try:
         return args.fn(args)
     except FormatError as e:

@@ -46,8 +46,8 @@ from .theory import (
     TheoryPresentation,
     ValidationReport,
     Violation,
+    _arity_of_key,
     _assignment_of_key,
-    arity_of_key,
     atom_key,
     boundary_assignments,
     build_theory,
@@ -207,7 +207,7 @@ def from_projection(Y, p):
         table = top if d == n else strata[d]
         src = Y.top_mul if d == n else Y.strata[d]
         for (ak, skey), labs in src.items():
-            lay = layout(arity_of_key(Y, d, ak))
+            lay = layout(_arity_of_key(Y, d, ak))
             asg = _assignment_of_key(lay, skey)
             pasg = _pair_assignment(p, lay, asg)
             gkey = whole_key(lay, pasg.__getitem__)
@@ -218,7 +218,7 @@ def from_projection(Y, p):
             }
     comp = {}
     for (ak, lk), entry in Y.composition.items():
-        lay = layout(arity_of_key(Y, n + 1, ak))
+        lay = layout(_arity_of_key(Y, n + 1, ak))
         asg = _lower_assignment(lay, lk)
         pasg = _pair_assignment(p, lay, asg)
         glk = lower_key(lay, pasg.__getitem__)
@@ -342,7 +342,7 @@ def compose_morphisms(G, F):
     for d in range(1, F.source.n + 1):
         actions[d] = {}
         for (ak, skey), mp in F.actions.get(d, {}).items():
-            lay = layout(arity_of_key(F.source, d, ak))
+            lay = layout(_arity_of_key(F.source, d, ak))
             asg = _assignment_of_key(lay, skey)
             mkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
             actions[d][(ak, skey)] = {a: G.act(d, ak, mkey, b) for a, b in mp.items()}
@@ -363,7 +363,7 @@ def morphism_from_maps(S, T, colour_map, label_map=None):
         actions[d] = {}
         table = S.top_mul if d == S.n else S.strata[d]
         for (ak, skey), labs in table.items():
-            lay = layout(arity_of_key(S, d, ak))
+            lay = layout(_arity_of_key(S, d, ak))
             asg = _assignment_of_key(lay, skey)
             tkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
             actions[d][(ak, skey)] = {lab: label_map(d, ak, skey, tkey, lab) for lab in labs}
@@ -565,23 +565,16 @@ def push_left(V, Y):
     return from_projection(YB, compose_morphisms(p, q))
 
 
-def _nonempty_actions(actions):
-    return {d: {k: v for k, v in tab.items() if v} for d, tab in actions.items()}
-
-
 def graded_morphisms(A, B, bound=None, budget=2_000_000):
     """All morphisms of gradings over a shared base: pair-theory
-    morphisms commuting with the projections."""
+    morphisms commuting with the projections.  The search runs fibre by
+    fibre: each label's image is drawn from the target labels of the
+    same degree (see :func:`enumerate_morphisms`)."""
     if A.base != B.base:
         raise ValueError("graded morphisms need a shared base")
     Y1, p1 = to_projection(A)
     Y2, p2 = to_projection(B)
-    want = _nonempty_actions(p1.actions)
-    return [
-        F
-        for F in enumerate_morphisms(Y1, Y2, bound, budget)
-        if _nonempty_actions(compose_morphisms(p2, F).actions) == want
-    ]
+    return enumerate_morphisms(Y1, Y2, bound, budget, over=(p1, p2))
 
 
 def theta_graded(X, bound=None):

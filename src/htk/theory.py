@@ -16,7 +16,9 @@ inside a bigger arity agree positionally.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .arity import (
     Arity,
@@ -102,18 +104,6 @@ def lower_key(lay, val):
         tuple(val(("c", i)) for i in range(lay.colour_count)),
         tuple(tuple(val(at.address) for at in lay.atoms[nu]) for nu in range(1, lay.arity.k - 1)),
     )
-
-
-def _site(spec, val):
-    """(composition table key, input labels, output address) for a leaf."""
-    if spec.arity.k == 1:
-        key = (canonical_key(spec.arity), ())
-        return key, tuple(val(a) for a in spec.colours[:-1]), spec.colours[-1]
-    lk = (
-        tuple(val(a) for a in spec.colours),
-        tuple(tuple(val(a) for a in g) for g in spec.lower),
-    )
-    return (canonical_key(spec.arity), lk), tuple(val(a) for a in spec.chain), spec.target
 
 
 def boundary_assignments(T, lay, top_level=None):
@@ -620,88 +610,203 @@ def validate_morphism(F, bound=None):
     return _report(viol, warn)
 
 
-def _sorted_keys(table):
-    return sorted(table, key=repr)
+class _VarIndex:
+    """Stands in for a morphism during a search: ``act`` names the search
+    variable of a source label instead of its image, so the key builders
+    (:func:`map_assignment`, :func:`whole_key`, :func:`lower_key`) turn
+    source boundaries into templates of variable indices."""
+
+    def __init__(self):
+        self.index = {}
+
+    def add(self, d, key, label):
+        self.index[(d, key, label)] = len(self.index)
+
+    def act(self, d, akey, tkey, label):
+        if d == 0:
+            akey, tkey = DIM0_KEY
+        return self.index[(d, (akey, tkey), label)]
 
 
-def enumerate_morphisms(S, T, bound=None, budget=2_000_000):
+def _fill(tpl, val):
+    """Substitute variable values into a template of variable indices."""
+    return tuple(_fill(x, val) if type(x) is tuple else val[x] for x in tpl)
+
+
+def _flatten(tpl):
+    """The variable indices in a template, in order."""
+    for x in tpl:
+        if type(x) is tuple:
+            yield from _flatten(x)
+        else:
+            yield x
+
+
+def _reader(idx):
+    """A function from variable values to the tuple of those at ``idx``."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    if idx:
+        j = idx[0]
+        return lambda val: (val[j],)
+    return lambda val: ()
+
+
+class _Template:
+    """A key template with a reader for the flat tuple of its variable
+    values, which determines the filled key; lookups through a template
+    are memoised on that tuple, so keys are only built on a miss."""
+
+    __slots__ = ("tpl", "read")
+
+    def __init__(self, tpl):
+        self.tpl = tpl
+        self.read = _reader(tuple(_flatten(tpl)))
+
+
+def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     """All strict morphisms S -> T, in a deterministic order.
 
-    Backtracks over colour images, then label images dimension by
-    dimension (each constrained by the translated boundary key), and
-    keeps only assignments whose composition squares commute.  Raises
-    ``RuntimeError`` once more than ``budget`` search nodes are visited.
+    A backtracking search with forward checking.  The variables are the
+    images of S's colours (in table order), then of its labels dimension
+    by dimension (keys sorted by ``repr``, labels in table order).  Each
+    label draws its image from T's label set at its translated boundary
+    key, so typing holds by construction.  Each composition instance of
+    S within ``bound`` is checked as soon as the last variable it reads
+    (lower boundary, chain or target) is assigned, with the test of
+    :func:`validate_morphism`: the target entry must exist and equal the
+    image of the output.  Every leaf is therefore a morphism, and the
+    morphisms come in the order of a plain enumeration of typed
+    assignments.
+
+    ``over=(p, q)``, for morphisms p out of S and q out of T, keeps only
+    the F with q∘F = p: each image is drawn from the labels over the
+    degree p gives its source label.
+
+    Raises ``RuntimeError`` once more than ``budget`` search nodes are
+    visited, naming the nodes visited and the deepest variable reached.
+    A node is one partial assignment that passed its checks; pruning only
+    removes nodes, so a search within budget stays within it.
     """
     if S.n != T.n or S.variance != T.variance:
         return []
     bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
-    found = []
-    nodes = [0]
-
-    def fail_budget():
-        raise RuntimeError("morphism enumeration budget exceeded")
-
-    def rec_dims(d, actions):
-        if d > S.n:
-            F = TheoryMorphism(S, T, {k: {kk: dict(vv) for kk, vv in v.items()} for k, v in actions.items()})
-            if validate_morphism(F, bound).status == "pass":
-                found.append(F)
-            return
-        table = S.top_mul if d == S.n else S.strata[d]
-        items = []
-        for key in _sorted_keys(table):
+    n = S.n
+    p, q = over if over is not None else (None, None)
+    vi = _VarIndex()
+    # (dimension, arity key, source key, label, key template, degree)
+    slots = []
+    colours = _Template(())
+    for c in S.label_set(0):
+        vi.add(0, DIM0_KEY, c)
+        slots.append((0, "", (), c, colours, p and p.act(0, "", (), c)))
+    for d in range(1, n + 1):
+        table = S.top_mul if d == n else S.strata[d]
+        for key in sorted(table, key=repr):
             ak, skey = key
             lay = layout(_arity_of_key(S, d, ak))
-            asg = _assignment_of_key(lay, skey)
+            tkey = _Template(whole_key(lay, map_assignment(vi, lay, _assignment_of_key(lay, skey)).__getitem__))
             for lab in table[key]:
-                items.append((ak, skey, lab, lay, asg))
+                vi.add(d, key, lab)
+                slots.append((d, ak, skey, lab, tkey, p and p.act(d, ak, skey, lab)))
+    nv = len(slots)
 
-        def rec_items(i):
-            nodes[0] += 1
-            if nodes[0] > budget:
-                fail_budget()
-            if i == len(items):
-                rec_dims(d + 1, actions)
-                return
-            ak, skey, lab, lay, asg = items[i]
-            F = TheoryMorphism(S, T, actions)
-            tkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
-            for img in T.label_set(d, ak, tkey):
-                actions[d].setdefault((ak, skey), {})[lab] = img
-                rec_items(i + 1)
-                del actions[d][(ak, skey)][lab]
+    # each composition instance, filed under the last variable it reads:
+    # (arity key, lower key template, input reader, output variable)
+    checks = [[] for _ in range(nv)]
+    for P in enumerate_arities(n + 1, bound, S.variance):
+        lay = layout(P)
+        ak = canonical_key(P)
+        if n == 0:
+            lk = _Template(())
+            for inputs, out in S.composition.get((ak, ()), {}).items():
+                ins = tuple(vi.act(0, "", (), x) for x in inputs)
+                tgt = vi.act(0, "", (), out)
+                checks[max(ins + (tgt,))].append((ak, lk, _reader(ins), tgt))
+            continue
+        sites = [lay.atom(ad) for ad in lay.chain_addrs + (lay.target_addr,)]
+        for asg in boundary_assignments(S, lay, top_level=n - 1):
+            entry = S.composition.get((ak, lower_key(lay, asg.__getitem__)), {})
+            if not entry:
+                continue
+            lk = _Template(lower_key(lay, map_assignment(vi, lay, asg).__getitem__))
+            lower_last = max(_flatten(lk.tpl))
+            keys = [(canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__)) for at in sites]
+            for inputs, out in entry.items():
+                ins = tuple(vi.act(n, ck, tk, lab) for (ck, tk), lab in zip(keys, inputs))
+                tgt = vi.act(n, *keys[-1], out)
+                checks[max(ins + (tgt, lower_last))].append((ak, lk, _reader(ins), tgt))
 
-        actions[d] = {}
-        rec_items(0)
-        del actions[d]
+    val = [None] * nv
+    domains, entries = {}, {}
+    found = []
 
-    def rec_colours(cols, i):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            fail_budget()
-        src = S.label_set(0)
-        if i == len(src):
-            rec_dims(1, {0: {DIM0_KEY: dict(cols)}})
-            return
-        for img in T.label_set(0):
-            cols[src[i]] = img
-            rec_colours(cols, i + 1)
-            del cols[src[i]]
+    def domain(i):
+        d, ak, _, _, tkey, deg = slots[i]
+        dk = (tkey, tkey.read(val), deg)
+        dom = domains.get(dk)
+        if dom is None:
+            key = _fill(tkey.tpl, val)
+            dom = T.label_set(d, ak, key)
+            if q is not None:
+                dom = tuple(y for y in dom if q.act(d, ak, key, y) == deg)
+            domains[dk] = dom
+        return dom
 
-    rec_colours({}, 0)
-    return found
+    def commutes(ak, lk, ins, tgt):
+        ek = (lk, lk.read(val))
+        entry = entries.get(ek)
+        if entry is None:
+            entry = entries[ek] = T.composition.get((ak, _fill(lk.tpl, val)), {})
+        return entry.get(ins(val)) == val[tgt]
+
+    # depth first, without recursion: pending[i] holds the untried images
+    # of variable i, and the node visited has len(pending) assigned
+    pending = []
+    nodes = deepest = 0
+    while True:
+        if nodes == budget:
+            raise RuntimeError(
+                f"morphism enumeration budget exceeded: {nodes} nodes visited, "
+                f"deepest at {deepest} of {nv} variables assigned"
+            )
+        nodes += 1
+        deepest = max(deepest, len(pending))
+        if len(pending) == nv:
+            found.append(_morphism_of(S, T, slots, val))
+        else:
+            pending.append(iter(domain(len(pending))))
+        while pending:
+            i = len(pending) - 1
+            for img in pending[i]:
+                val[i] = img
+                if all(commutes(*c) for c in checks[i]):
+                    break
+            else:
+                pending.pop()
+                continue
+            break
+        if not pending:
+            return found
+
+
+def _morphism_of(S, T, slots, val):
+    actions = {d: {} for d in range(S.n + 1)}
+    actions[0][DIM0_KEY] = {}
+    for (d, ak, skey, lab, _, _), img in zip(slots, val):
+        key = DIM0_KEY if d == 0 else (ak, skey)
+        actions[d].setdefault(key, {})[lab] = img
+    return TheoryMorphism(S, T, actions)
+
+
+@lru_cache(maxsize=None)
+def _arity_index(d, bound, variance):
+    return {canonical_key(a): a for a in enumerate_arities(d, bound, variance)}
 
 
 def _arity_of_key(T, d, akey):
-    for ar in enumerate_arities(d, T.arity_bound, T.variance):
-        if canonical_key(ar) == akey:
-            return ar
-    raise KeyError(akey)
-
-
-def arity_of_key(T, d, akey):
-    """The enumerated arity with the given canonical key."""
-    return _arity_of_key(T, d, akey)
+    """The enumerated arity of T's dimension-d tables with the given key."""
+    return _arity_index(d, T.arity_bound, T.variance)[akey]
 
 
 def _assignment_of_key(lay, tkey):

@@ -143,6 +143,37 @@ class TestVerbs:
         run(["build", "assoc", "--bound", "2", "-o", str(c)], capsys)
         assert a.read_text() == c.read_text()
 
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", ""])
+    def test_bad_bound_flag_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["enum", "field-theories", "codiscrete:2", "--bound", value])
+        out = capsys.readouterr()
+        assert e.value.code == 2 and out.out == ""
+        assert "usage:" in out.err and "non-negative integer" in out.err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_bound_environment_is_a_usage_error(self, value, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "t.json"
+        assert run(["build", "terminal:1", "-o", str(p)], capsys)[0] == 0
+        monkeypatch.setenv("HTK_BOUND", value)
+        with pytest.raises(SystemExit) as e:
+            main(["build", "terminal:1"])
+        out = capsys.readouterr()
+        assert e.value.code == 2 and out.out == ""
+        assert "HTK_BOUND" in out.err and "non-negative integer" in out.err
+        # a command that takes no bound does not read the variable
+        assert run(["fmt", str(p)], capsys)[0] == 0
+        # and an explicit flag wins without consulting it
+        assert run(["build", "terminal:1", "--bound", "1"], capsys)[0] == 0
+
+    def test_bad_bound_exits_2_from_the_shell(self):
+        r = subprocess.run(
+            [sys.executable, "-m", "htk.cli", "build", "terminal:1", "--bound", "-1"],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == 2 and r.stdout == "" and "usage:" in r.stderr
+
     def test_check_suites(self, capsys):
         code, out, _ = run(["check", "theta-lax-equivalence"], capsys)
         assert code == 0 and "2/2 claims pass" in out
