@@ -359,9 +359,8 @@ def decompose(ctx):
     return leaves
 
 
-def leaf_arity(leaf):
-    """The canonical arity of an elemental leaf."""
-    ctx = leaf.ctx
+def _levels_of(ctx):
+    """The canonical index levels of a concrete context."""
     levels = []
     for lv in ctx.levels:
         sizes = tuple(len(e) for e in lv.entries)
@@ -370,7 +369,12 @@ def leaf_arity(leaf):
             pos = _positions(lv.entries[j + 1])
             maps.append(tuple(pos[f[x]] + 1 for x in lv.entries[j]))
         levels.append(Level(sizes, tuple(maps)))
-    return Arity(ctx.d, len(ctx.dom), tuple(levels))
+    return tuple(levels)
+
+
+def leaf_arity(leaf):
+    """The canonical arity of an elemental leaf."""
+    return Arity(leaf.ctx.d, len(leaf.ctx.dom), _levels_of(leaf.ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +514,7 @@ def _canonical_general(ctx):
     """Read a GeneralArity back off a concrete context."""
     pos = _positions(ctx.cod)
     table = tuple(pos[ctx.psi[p]] + 1 for p in ctx.dom)
-    levels = []
-    for lv in ctx.levels:
-        sizes = tuple(len(e) for e in lv.entries)
-        maps = []
-        for j, f in enumerate(lv.maps):
-            p2 = _positions(lv.entries[j + 1])
-            maps.append(tuple(p2[f[x]] + 1 for x in lv.entries[j]))
-        levels.append(Level(sizes, tuple(maps)))
-    return GeneralArity(ctx.d, (len(ctx.dom), len(ctx.cod), table), tuple(levels))
+    return GeneralArity(ctx.d, (len(ctx.dom), len(ctx.cod), table), _levels_of(ctx))
 
 
 def general_of(a, psi=None):

@@ -36,9 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, permutations, product
 
-from .theory import ValidationReport, Violation
-
-POINT = "•"
+from .theory import POINT, ValidationReport, Violation
 
 
 # ---------------------------------------------------------------------------

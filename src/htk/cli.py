@@ -7,7 +7,8 @@ serialize to byte-identical files, which the golden tests rely on.
 
 Exit codes: 0 success, 1 violations or construction errors, 2 parse,
 format or usage errors.  ``HTK_BOUND`` overrides the default arity
-bound of 2 wherever no ``--bound`` flag is given.
+bound of 2 wherever no ``--bound`` flag is given; ``enum field-theories``
+takes no bound.
 """
 
 import argparse
@@ -39,6 +40,7 @@ from .graded import (
     to_projection,
     validate_graded,
 )
+from .ordcomb import PLANAR, SYMMETRIC
 from .theory import (
     TheoryPresentation,
     endo_planar,
@@ -64,26 +66,22 @@ class FormatError(Exception):
 # canonical encoding
 
 
-def _enc(x):
-    if isinstance(x, tuple):
-        return [_enc(e) for e in x]
-    if isinstance(x, (str, int, bool)) or x is None:
-        return x
-    raise FormatError(f"unencodable value {x!r}")
-
-
 def _dec(x):
+    """A decoded value: lists become tuples; strings, integers, booleans
+    and null are the only scalars."""
     if isinstance(x, list):
         return tuple(_dec(e) for e in x)
-    return x
+    if isinstance(x, (str, int)) or x is None:
+        return x
+    raise FormatError(f"unsupported value {x!r}")
 
 
 def _skey(x):
-    return json.dumps(_enc(x), sort_keys=True, separators=(",", ":"))
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
 
 
 def _table(d):
-    return [[_enc(k), _enc(v)] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
+    return [[k, v] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
 
 
 def _untable(entries):
@@ -91,7 +89,7 @@ def _untable(entries):
 
 
 def _nested(d):
-    return [[_enc(k), _table(v)] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
+    return [[k, _table(v)] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
 
 
 def _unnested(entries):
@@ -112,7 +110,22 @@ def theory_to_obj(T):
     }
 
 
+def _check_header(obj):
+    for name in ("dimension", "colour_depth", "arity_bound"):
+        if type(obj[name]) is not int or obj[name] < 0:
+            raise FormatError(f"{name} must be a non-negative integer, got {obj[name]!r}")
+    if obj["variance"] not in (SYMMETRIC, PLANAR):
+        raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
+    if not isinstance(obj["strata"], list):
+        raise FormatError(f"strata must be a list, got {obj['strata']!r}")
+    n = obj["dimension"]
+    dims = [d for d, _ in obj["strata"]]
+    if len(dims) != n or any(type(d) is not int for d in dims) or sorted(dims) != list(range(n)):
+        raise FormatError(f"strata must hold each dimension below {n} once")
+
+
 def obj_to_theory(obj):
+    _check_header(obj)
     return TheoryPresentation(
         obj["dimension"],
         obj["variance"],
@@ -447,6 +460,8 @@ def main(argv=None):
     p.set_defaults(fn=cmd_fmt)
 
     args = parser.parse_args(argv)
+    if getattr(args, "what", None) == "field-theories" and args.bound is not None:
+        parser.error("enum field-theories takes no --bound: its bordism skeleton is fixed")
     if hasattr(args, "bound") and args.bound is None:
         try:
             args.bound = _bound_arg(os.environ.get("HTK_BOUND") or "2")

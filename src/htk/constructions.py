@@ -24,7 +24,6 @@ flattening versus hom-sets of a one-object category).
 
 from dataclasses import replace
 from functools import reduce
-from itertools import product
 
 from .arity import (
     Arity,
@@ -35,20 +34,20 @@ from .arity import (
 )
 from .ordcomb import SYMMETRIC
 from .theory import (
-    DIM0_KEY,
+    POINT,
+    SKIP,
     TheoryPresentation,
     ValidationReport,
     Violation,
+    _coloured,
     arity_pool,
-    atom_key,
-    boundary_assignments,
     build_theory,
+    composition_sites,
     lower_key,
+    site_inputs,
+    stratum_sites,
     whole_key,
 )
-
-#: the single member of a corepresented hom-set on a compatible boundary
-POINT = "•"
 
 
 # ---------------------------------------------------------------------------
@@ -143,41 +142,30 @@ def _fold_monoidal(M, lay, asg):
 
 
 def _theta_monoidal(M, bound, extra=None):
-    def label_rule(d, ar, lay, asg):
-        ins = tuple(asg[("c", i)] for i in range(ar.top))
-        return M.hom(M.tensor(ins), asg[("c", ar.top)])
+    def hom(cols):
+        return M.hom(M.tensor(cols[:-1]), cols[-1])
 
-    U = build_theory(
-        1, SYMMETRIC, bound, M.objects, label_rule,
-        lambda P, lay, asg, inputs: _fold_monoidal(M, lay, asg),
+    def comp_rule(P, lay, asg, inputs):
+        # a nullary composite only exists where the unit maps to the target
+        if not P.top and not hom([asg[a] for a in lay.atom(lay.target_addr).spec.colours]):
+            return SKIP
+        return _fold_monoidal(M, lay, asg)
+
+    return build_theory(
+        1, SYMMETRIC, bound, M.objects,
+        lambda d, ar, lay, asg: hom([asg[("c", i)] for i in range(lay.colour_count)]),
+        comp_rule,
         extra=extra,
     )
-    # a nullary composite only exists where the unit maps to the target
-    for P in arity_pool(2, bound, SYMMETRIC, extra):
-        if P.top:
-            continue
-        lay = layout(P)
-        ak = canonical_key(P)
-        for asg in boundary_assignments(U, lay, top_level=0):
-            tgt = lay.atom(lay.target_addr)
-            if not U.label_set(1, canonical_key(tgt.spec.arity), atom_key(tgt.spec, asg.__getitem__)):
-                U.composition.pop((ak, lower_key(lay, asg.__getitem__)), None)
-    return U
 
 
 def _composes(T, P, lay, asg):
-    """Whether the chain of an assignment composes in T to its target."""
-    if T.n == 0:
-        entry = T.composition.get((canonical_key(P), ()))
-        if entry is None:
-            return False
-        ins = tuple(asg[("c", i)] for i in range(P.top))
-        return entry.get(ins) == asg[("c", P.top)]
+    """Whether the chain of an assignment composes in T to its target
+    (at n = 0 the chain and target are the colours)."""
+    top = lay.chain_addrs + (lay.target_addr,) if T.n else [("c", i) for i in range(P.top + 1)]
+    *ins, out = [asg[a] for a in top]
     entry = T.composition.get((canonical_key(P), lower_key(lay, asg.__getitem__)))
-    if entry is None:
-        return False
-    ins = tuple(asg[ad] for ad in lay.chain_addrs)
-    return entry.get(ins) == asg[lay.target_addr]
+    return entry is not None and entry.get(tuple(ins)) == out
 
 
 def theta(C, bound=None, extra=None):
@@ -197,37 +185,15 @@ def theta(C, bound=None, extra=None):
     if bound is None:
         bound = T.arity_bound
     n2 = T.n + 1
-    strata = {d: dict(T.strata[d]) for d in range(T.n)}
-    if T.n == 0:
-        strata[0] = {DIM0_KEY: T.top_mul[DIM0_KEY]}
-    else:
-        strata[T.n] = dict(T.top_mul)
-    top_mul = {}
-    U = TheoryPresentation(
-        n2, T.variance, min(T.colour_depth + 1, n2), bound, strata, top_mul, {}
-    )
-    for P in arity_pool(n2, bound, T.variance, extra):
-        lay = layout(P)
-        ak = canonical_key(P)
-        for asg in boundary_assignments(U, lay):
-            key = (ak, whole_key(lay, asg.__getitem__))
-            top_mul[key] = (POINT,) if _composes(T, P, lay, asg) else ()
-    for A in arity_pool(n2 + 1, bound, T.variance, extra):
-        lay = layout(A)
-        ak = canonical_key(A)
-        for asg in boundary_assignments(U, lay, top_level=n2 - 1):
-            sets = [
-                U.label_set(n2, canonical_key(lay.atom(ad).spec.arity), atom_key(lay.atom(ad).spec, asg.__getitem__))
-                for ad in lay.chain_addrs
-            ]
-            tgt = lay.atom(lay.target_addr)
-            tset = U.label_set(n2, canonical_key(tgt.spec.arity), atom_key(tgt.spec, asg.__getitem__))
-            if A.top == 0 and not tset:
-                continue  # the source declared no unit; stay silent too
-            entry = {}
-            for inputs in product(*sets):
-                entry[inputs] = POINT
-            U.composition[(ak, lower_key(lay, asg.__getitem__))] = entry
+    strata = {d: dict(T.table(d)) for d in range(n2)}
+    U = TheoryPresentation(n2, T.variance, min(T.colour_depth + 1, n2), bound, strata, {}, {})
+    for P, lay, ak, asg, key in stratum_sites(U, n2, arity_pool(n2, bound, T.variance, extra)):
+        U.top_mul[(ak, key)] = (POINT,) if _composes(T, P, lay, asg) else ()
+    for A, _, ak, _, lk, slots in composition_sites(U, arity_pool(n2 + 1, bound, T.variance, extra)):
+        keys = slots()
+        if A.top == 0 and not U.label_set(*keys[-1]):
+            continue  # the source declared no unit; stay silent too
+        U.composition[(ak, lk)] = dict.fromkeys(site_inputs(U, keys), POINT)
     return U
 
 
@@ -298,8 +264,9 @@ def _flattened(a):
 
 
 def _fl_transport(a):
-    """(flattened arity, address map) pairing the flattened layout's
-    boundary with the one-level-up addresses of the original layout."""
+    """(flattened arity key, flattened layout, address map) pairing the
+    flattened layout's boundary with the one-level-up addresses of the
+    original layout."""
     fla = _flattened(a)
     lay, layf = layout(a), layout(fla)
     tau = {}
@@ -309,7 +276,7 @@ def _fl_transport(a):
         for i, ad in enumerate(lay.chain_addrs):
             tau[("c", i)] = ad
         tau[("c", layf.colour_count - 1)] = lay.target_addr
-        return fla, tau
+        return canonical_key(fla), layf, tau
     if layf.colour_count != len(lay.atoms[1]):
         raise AssertionError("flattening colour count mismatch")
     for i in range(layf.colour_count):
@@ -326,7 +293,7 @@ def _fl_transport(a):
         raise AssertionError("flattening chain order mismatch")
     if tau[layf.target_addr] != lay.target_addr:
         raise AssertionError("flattening target mismatch")
-    return fla, tau
+    return canonical_key(fla), layf, tau
 
 
 def deloop_support(n, bound):
@@ -370,38 +337,31 @@ def deloop(V, base="*", bound=None):
     if bound is None:
         bound = V.arity_bound
     n2 = V.n + 1
-    strata = {d: {} for d in range(n2)}
-    strata[0][DIM0_KEY] = (base,)
-    top_mul = {}
-    U = TheoryPresentation(n2, SYMMETRIC, V.colour_depth, bound, strata, top_mul, {})
+    U = _coloured(n2, SYMMETRIC, V.colour_depth, bound, (base,))
     obs = tuple(V.label_set(0))
-    dim1 = top_mul if n2 == 1 else strata[1]
-    for a in enumerate_arities(1, bound, SYMMETRIC):
-        dim1[(canonical_key(a), ((base,) * (a.top + 1),))] = obs
+    for _, _, ak, _, key in stratum_sites(U, 1, enumerate_arities(1, bound, SYMMETRIC)):
+        U.table(1)[(ak, key)] = obs
     for d in range(2, n2 + 1):
-        table = top_mul if d == n2 else strata[d]
-        vtab = V.top_mul if d - 1 == V.n else V.strata[d - 1]
-        for A in enumerate_arities(d, bound, SYMMETRIC):
-            fla, tau = _fl_transport(A)
-            lay, layf = layout(A), layout(fla)
-            ak, akf = canonical_key(A), canonical_key(fla)
-            for asg in boundary_assignments(U, lay):
-                wkf = whole_key(layf, lambda ad: asg[tau[ad]])
-                if (akf, wkf) not in vtab:
-                    raise KeyError(f"flattening exceeds the tabulated arities: {(akf, wkf)}")
-                table[(ak, whole_key(lay, asg.__getitem__))] = vtab[(akf, wkf)]
-    for A in enumerate_arities(n2 + 1, bound, SYMMETRIC):
-        fla, tau = _fl_transport(A)
-        lay, layf = layout(A), layout(fla)
-        ak, akf = canonical_key(A), canonical_key(fla)
-        for asg in boundary_assignments(U, lay, top_level=n2 - 1):
-            lkf = lower_key(layf, lambda ad: asg[tau[ad]])
-            ventry = V.composition.get((akf, lkf))
-            if ventry is None:
-                if A.top == 0:
-                    continue  # no unit in V; none here either
-                raise KeyError(f"flattening exceeds the tabulated arities: {(akf, lkf)}")
-            U.composition[(ak, lower_key(lay, asg.__getitem__))] = dict(ventry)
+        table, vtab = U.table(d), V.table(d - 1)
+        pool = enumerate_arities(d, bound, SYMMETRIC)
+        flat = {canonical_key(A): _fl_transport(A) for A in pool}
+        for _, _, ak, asg, key in stratum_sites(U, d, pool):
+            akf, layf, tau = flat[ak]
+            vkey = (akf, whole_key(layf, lambda ad: asg[tau[ad]]))
+            if vkey not in vtab:
+                raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
+            table[(ak, key)] = vtab[vkey]
+    pool = enumerate_arities(n2 + 1, bound, SYMMETRIC)
+    flat = {canonical_key(A): _fl_transport(A) for A in pool}
+    for A, _, ak, asg, lk, _ in composition_sites(U, pool):
+        akf, layf, tau = flat[ak]
+        vkey = (akf, lower_key(layf, lambda ad: asg[tau[ad]]))
+        ventry = V.composition.get(vkey)
+        if ventry is None:
+            if A.top == 0:
+                continue  # no unit in V; none here either
+            raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
+        U.composition[(ak, lk)] = dict(ventry)
     return U
 
 
@@ -463,31 +423,20 @@ def detheorize_T(U, colours=None):
         if u not in base:
             raise ValueError(f"{u!r} is not a colour of the base")
     pairs = tuple((u, x) for u in base for x in colours.get(u, ()))
-    strata = {d: {} for d in range(U.n)}
-    strata[0][DIM0_KEY] = pairs
-    top_mul = {}
-    T = TheoryPresentation(U.n, U.variance, U.colour_depth, U.arity_bound, strata, top_mul, {})
+    T = _coloured(U.n, U.variance, U.colour_depth, U.arity_bound, pairs)
 
     def proj(asg):
         return lambda ad: asg[ad][0] if ad[0] == "c" else asg[ad]
 
     for d in range(1, U.n + 1):
-        table = top_mul if d == U.n else strata[d]
-        utab = U.top_mul if d == U.n else U.strata[d]
-        for a in enumerate_arities(d, U.arity_bound, U.variance):
-            lay = layout(a)
-            ak = canonical_key(a)
-            for asg in boundary_assignments(T, lay):
-                ukey = (ak, whole_key(lay, proj(asg)))
-                if ukey not in utab:
-                    raise KeyError(f"base table misses projected boundary {ukey}")
-                table[(ak, whole_key(lay, asg.__getitem__))] = utab[ukey]
-    for P in enumerate_arities(U.n + 1, U.arity_bound, U.variance):
-        lay = layout(P)
-        ak = canonical_key(P)
-        for asg in boundary_assignments(T, lay, top_level=U.n - 1):
-            uentry = U.composition.get((ak, lower_key(lay, proj(asg))))
-            if uentry is None:
-                continue
-            T.composition[(ak, lower_key(lay, asg.__getitem__))] = dict(uentry)
+        table, utab = T.table(d), U.table(d)
+        for _, lay, ak, asg, key in stratum_sites(T, d, enumerate_arities(d, U.arity_bound, U.variance)):
+            ukey = (ak, whole_key(lay, proj(asg)))
+            if ukey not in utab:
+                raise KeyError(f"base table misses projected boundary {ukey}")
+            table[(ak, key)] = utab[ukey]
+    for _, lay, ak, asg, lk, _ in composition_sites(T, enumerate_arities(U.n + 1, U.arity_bound, U.variance)):
+        uentry = U.composition.get((ak, lower_key(lay, proj(asg))))
+        if uentry is not None:
+            T.composition[(ak, lk)] = dict(uentry)
     return T

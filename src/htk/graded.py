@@ -39,9 +39,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arity import canonical_key, enumerate_arities, layout
-from .constructions import POINT, detheorize_T, theta
+from .constructions import detheorize_T, theta
 from .theory import (
     DIM0_KEY,
+    POINT,
+    SKIP,
     TheoryMorphism,
     TheoryPresentation,
     ValidationReport,
@@ -49,18 +51,17 @@ from .theory import (
     _arity_of_key,
     _assignment_of_key,
     atom_key,
-    boundary_assignments,
     build_theory,
+    composition_sites,
     enumerate_morphisms,
     lower_key,
     map_assignment,
+    site_inputs,
+    stratum_sites,
     validate_morphism,
     validate_theory,
     whole_key,
 )
-
-#: sentinel for composition entries the base does not declare
-_SKIP = object()
 
 
 @dataclass(frozen=True)
@@ -121,20 +122,7 @@ def _lower_assignment(lay, lk):
 
 def _pair_assignment(p, lay, asg):
     """Annotate every assigned address with its image under p."""
-    out = {}
-    for i in range(lay.colour_count):
-        c = asg[("c", i)]
-        out[("c", i)] = (p.act(0, "", (), c), c)
-    for nu in sorted(lay.atoms):
-        for at in lay.atoms[nu]:
-            if at.address not in asg:
-                continue
-            tkey = atom_key(at.spec, asg.__getitem__)
-            out[at.address] = (
-                p.act(nu, canonical_key(at.spec.arity), tkey, asg[at.address]),
-                asg[at.address],
-            )
-    return out
+    return {ad: (img, asg[ad]) for ad, img in map_assignment(p, lay, asg).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +193,7 @@ def from_projection(Y, p):
     top = {}
     for d in range(1, n + 1):
         table = top if d == n else strata[d]
-        src = Y.top_mul if d == n else Y.strata[d]
+        src = Y.table(d)
         for (ak, skey), labs in src.items():
             lay = layout(_arity_of_key(Y, d, ak))
             asg = _assignment_of_key(lay, skey)
@@ -361,8 +349,7 @@ def morphism_from_maps(S, T, colour_map, label_map=None):
     F = TheoryMorphism(S, T, actions)
     for d in range(1, S.n + 1):
         actions[d] = {}
-        table = S.top_mul if d == S.n else S.strata[d]
-        for (ak, skey), labs in table.items():
+        for (ak, skey), labs in S.table(d).items():
             lay = layout(_arity_of_key(S, d, ak))
             asg = _assignment_of_key(lay, skey)
             tkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
@@ -385,28 +372,18 @@ def theta_morphism(F, bound=None):
 
 
 def _graded_pair_theory(base, objects, fibre_rule, comp_rule, bound=None):
-    """Saturate the pair theory of a graded presentation.
+    """Saturate the pair theory of a graded presentation; returns its
+    graded form.
 
     ``fibre_rule(d, arity, lay, asg, degree)`` yields the fibre over a
     degree at a pair-labelled boundary; ``comp_rule(arity, lay, asg,
     out degree, inputs)`` yields the fibre part of a composite (or
-    ``_SKIP``).  The base degree of every composite is forced by the
+    ``SKIP``).  The base degree of every composite is forced by the
     base's own table; lower keys the base does not declare are skipped
-    wholesale (prune with :func:`_prune_skips`).
+    wholesale.
     """
-    n = base.n
     bound = base.arity_bound if bound is None else bound
     pairs = tuple((u, x) for u in base.label_set(0) for x in objects.get(u, ()))
-    if n == 0:
-        def crule0(P, lay, asg, inputs):
-            bentry = base.composition.get((canonical_key(P), ()))
-            if bentry is None:
-                return _SKIP
-            v = bentry[tuple(e[0] for e in inputs)]
-            y = comp_rule(P, lay, asg, v, inputs)
-            return _SKIP if y is _SKIP else (v, y)
-
-        return build_theory(0, base.variance, bound, pairs, lambda *a: (), crule0)
 
     def lrule(d, ar, lay, asg):
         bkey = whole_key(lay, lambda ad: asg[ad][0])
@@ -418,26 +395,12 @@ def _graded_pair_theory(base, objects, fibre_rule, comp_rule, bound=None):
     def crule(P, lay, asg, inputs):
         bentry = base.composition.get((canonical_key(P), lower_key(lay, lambda ad: asg[ad][0])))
         if bentry is None:
-            return _SKIP
+            return SKIP
         v = bentry[tuple(e[0] for e in inputs)]
         y = comp_rule(P, lay, asg, v, inputs)
-        return _SKIP if y is _SKIP else (v, y)
+        return SKIP if y is SKIP else (v, y)
 
-    return build_theory(n, base.variance, bound, pairs, lrule, crule)
-
-
-def _prune_skips(Y):
-    """Drop skipped composition entries; drop keys left empty by it."""
-    for key in list(Y.composition):
-        entry = Y.composition[key]
-        kept = {i: o for i, o in entry.items() if o is not _SKIP}
-        if len(kept) == len(entry):
-            continue
-        if kept:
-            Y.composition[key] = kept
-        else:
-            del Y.composition[key]
-    return Y
+    return _graded_from_pairs(base, build_theory(base.n, base.variance, bound, pairs, lrule, crule))
 
 
 def _graded_from_pairs(base, Y):
@@ -453,7 +416,7 @@ def _graded_from_pairs(base, Y):
     top = {}
     for d in range(1, n + 1):
         table = top if d == n else strata[d]
-        src = Y.top_mul if d == n else Y.strata[d]
+        src = Y.table(d)
         for (ak, gkey), labs in src.items():
             table[(ak, gkey)] = {
                 v: tuple(y for v2, y in labs if v2 == v)
@@ -473,32 +436,31 @@ def terminal_graded(U, objects=None, bound=None):
     if U.n == 0:
         if objects is None:
             objects = {a: (POINT,) for a in U.label_set(0)}
-        Y = _graded_pair_theory(
+        return _graded_pair_theory(
             U, objects, None, lambda P, lay, asg, v, inputs: objects[v][0], bound
         )
-        return _graded_from_pairs(U, _prune_skips(Y))
     if objects is None:
         objects = {u: ("*",) for u in U.label_set(0)}
-    Y = _graded_pair_theory(
+    return _graded_pair_theory(
         U,
         objects,
         lambda d, ar, lay, asg, v: (POINT,),
         lambda P, lay, asg, v, inputs: POINT,
         bound,
     )
-    return _graded_from_pairs(U, _prune_skips(Y))
 
 
 def product_graded(U, k, bound=None):
     """Every fibre a fixed k-element set, composing by addition mod k."""
     labs = tuple(range(k))
     objects = {u: labs for u in U.label_set(0)}
-    crule = lambda P, lay, asg, v, inputs: sum(e[1] for e in inputs) % k
-    if U.n == 0:
-        Y = _graded_pair_theory(U, objects, None, crule, bound)
-    else:
-        Y = _graded_pair_theory(U, objects, lambda d, ar, lay, asg, v: labs, crule, bound)
-    return _graded_from_pairs(U, _prune_skips(Y))
+    return _graded_pair_theory(
+        U,
+        objects,
+        lambda d, ar, lay, asg, v: labs,
+        lambda P, lay, asg, v, inputs: sum(e[1] for e in inputs) % k,
+        bound,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +479,16 @@ def pullback(F, X, bound=None):
         def crule0(P, lay, asg, v, inputs):
             entry = X.composition.get((canonical_key(P), ()))
             if entry is None:
-                return _SKIP
+                return SKIP
             out = entry.get(tuple((f0[a], x) for a, x in inputs))
-            return _SKIP if out is None else out[1]
+            return SKIP if out is None else out[1]
 
-        Y = _graded_pair_theory(base2, objects, None, crule0, bound)
-        return _graded_from_pairs(base2, _prune_skips(Y))
+        return _graded_pair_theory(base2, objects, None, crule0, bound)
     objects = {u: X.objects.get(F.act(0, "", (), u), ()) for u in base2.label_set(0)}
 
     def translate(lay, asg):
-        out = {}
-        for i in range(lay.colour_count):
-            u, x = asg[("c", i)]
-            out[("c", i)] = (F.act(0, "", (), u), x)
-        for nu in sorted(lay.atoms):
-            for at in lay.atoms[nu]:
-                if at.address not in asg:
-                    continue
-                v, y = asg[at.address]
-                bkey = atom_key(at.spec, lambda a: asg[a][0])
-                out[at.address] = (F.act(nu, canonical_key(at.spec.arity), bkey, v), y)
-        return out
+        imgs = map_assignment(F, lay, {ad: v for ad, (v, _) in asg.items()})
+        return {ad: (img, asg[ad][1]) for ad, img in imgs.items()}
 
     def frule(d, ar, lay, asg, v):
         tasg = translate(lay, asg)
@@ -548,12 +499,11 @@ def pullback(F, X, bound=None):
         tasg = translate(lay, asg)
         entry = X.composition.get((canonical_key(P), lower_key(lay, tasg.__getitem__)))
         if entry is None:
-            return _SKIP
+            return SKIP
         out = entry.get(tuple(tasg[ad] for ad in lay.chain_addrs))
-        return _SKIP if out is None else out[1]
+        return SKIP if out is None else out[1]
 
-    Y = _graded_pair_theory(base2, objects, frule, crule, bound)
-    return _graded_from_pairs(base2, _prune_skips(Y))
+    return _graded_pair_theory(base2, objects, frule, crule, bound)
 
 
 def push_left(V, Y):
@@ -643,9 +593,7 @@ def push_right(V, X, bound=None):
                 return _pr_tau_fibre(V, X, ar, lay, asg, deg)
             return _pr_compat(V, X, ar, lay, asg)
 
-    crule = lambda P, lay, asg, v, inputs: POINT
-    Y = _graded_pair_theory(UU, objects, frule, crule, bound)
-    return _graded_from_pairs(UU, _prune_skips(Y))
+    return _graded_pair_theory(UU, objects, frule, lambda P, lay, asg, v, inputs: POINT, bound)
 
 
 def _pr_tau_fibre(V, X, ar, lay, asg, lam):
@@ -844,53 +792,33 @@ def _algebra_pair_2(alg, bound):
     W = alg.over
     bound = W.arity_bound if bound is None else bound
     cols = tuple((u, x) for u in W.label_set(0) for x in alg.objects.get(u, ()))
-    strata = {0: {DIM0_KEY: cols}, 1: {}}
-    top = {}
-    actions = {0: {DIM0_KEY: {c: c[0] for c in cols}}, 1: {}, 2: {}}
-    Y = TheoryPresentation(2, W.variance, 2, W.arity_bound, strata, top, {})
-    for a in enumerate_arities(1, bound, W.variance):
-        ak = canonical_key(a)
-        for pc in product(cols, repeat=a.top + 1):
-            base_cols = tuple(c[0] for c in pc)
-            labs = tuple(
-                (lam, xi)
-                for lam in W.label_set(1, ak, (base_cols,))
-                for xi in alg.fibres.get((ak, pc, lam), ())
-            )
-            strata[1][(ak, (pc,))] = labs
-            actions[1][(ak, (pc,))] = {lab: lab[0] for lab in labs}
-    for a in enumerate_arities(2, bound, W.variance):
-        lay = layout(a)
-        ak = canonical_key(a)
-        for asg in boundary_assignments(Y, lay):
-            wkey = whole_key(lay, lambda ad: asg[ad][0])
-            skey = whole_key(lay, asg.__getitem__)
-            okey = tuple(asg[("c", i)] for i in range(lay.colour_count))
-            lchain = tuple(asg[ad][0] for ad in lay.chain_addrs)
-            xins = tuple(asg[ad][1] for ad in lay.chain_addrs)
-            lam_t, xi_t = asg[lay.target_addr]
-            labs = tuple(
-                mu
-                for mu in W.label_set(2, ak, wkey)
-                if alg.action.get((ak, okey, lchain, lam_t, mu), {}).get(xins) == xi_t
-            )
-            top[(ak, skey)] = labs
-            actions[2][(ak, skey)] = {mu: mu for mu in labs}
-    for P in enumerate_arities(3, bound, W.variance):
-        lay = layout(P)
-        ak = canonical_key(P)
-        for asg in boundary_assignments(Y, lay, top_level=1):
-            wentry = W.composition.get((ak, lower_key(lay, lambda ad: asg[ad][0])))
-            if wentry is None:
-                continue
-            sets = [
-                Y.label_set(2, canonical_key(lay.atom(ad).spec.arity), atom_key(lay.atom(ad).spec, asg.__getitem__))
-                for ad in lay.chain_addrs
-            ]
-            entry = {}
-            for ins in product(*sets):
-                entry[ins] = wentry[ins]
-            Y.composition[(ak, lower_key(lay, asg.__getitem__))] = entry
+    Y = TheoryPresentation(2, W.variance, 2, W.arity_bound, {0: {DIM0_KEY: cols}, 1: {}}, {}, {})
+    for _, _, ak, _, key in stratum_sites(Y, 1, enumerate_arities(1, bound, W.variance)):
+        pc = key[0]
+        Y.strata[1][(ak, key)] = tuple(
+            (lam, xi)
+            for lam in W.label_set(1, ak, (tuple(c[0] for c in pc),))
+            for xi in alg.fibres.get((ak, pc, lam), ())
+        )
+    for _, lay, ak, asg, key in stratum_sites(Y, 2, enumerate_arities(2, bound, W.variance)):
+        okey = tuple(asg[("c", i)] for i in range(lay.colour_count))
+        lchain = tuple(asg[ad][0] for ad in lay.chain_addrs)
+        xins = tuple(asg[ad][1] for ad in lay.chain_addrs)
+        lam_t, xi_t = asg[lay.target_addr]
+        Y.top_mul[(ak, key)] = tuple(
+            mu
+            for mu in W.label_set(2, ak, whole_key(lay, lambda ad: asg[ad][0]))
+            if alg.action.get((ak, okey, lchain, lam_t, mu), {}).get(xins) == xi_t
+        )
+    for _, lay, ak, asg, lk, slots in composition_sites(Y, enumerate_arities(3, bound, W.variance)):
+        wentry = W.composition.get((ak, lower_key(lay, lambda ad: asg[ad][0])))
+        if wentry is not None:
+            Y.composition[(ak, lk)] = {ins: wentry[ins] for ins in site_inputs(Y, slots())}
+    actions = {
+        0: {DIM0_KEY: {c: c[0] for c in cols}},
+        1: {key: {lab: lab[0] for lab in labs} for key, labs in Y.strata[1].items()},
+        2: {key: {mu: mu for mu in labs} for key, labs in Y.top_mul.items()},
+    }
     return Y, TheoryMorphism(Y, W, actions)
 
 

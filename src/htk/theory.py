@@ -16,7 +16,7 @@ inside a bigger arity agree positionally.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import itemgetter
 
@@ -35,6 +35,12 @@ from .arity import (
 from .ordcomb import PLANAR, SYMMETRIC
 
 DIM0_KEY = ("", ())
+
+#: the single member of a corepresented hom-set on a compatible boundary
+POINT = "•"
+
+#: what a composition rule returns for an input it leaves undeclared
+SKIP = object()
 
 
 @dataclass(frozen=True)
@@ -59,11 +65,21 @@ class TheoryPresentation:
     top_mul: dict
     composition: dict
 
+    def table(self, d):
+        """The label table of dimension d."""
+        return self.top_mul if d == self.n else self.strata[d]
+
     def label_set(self, d, akey="", tkey=()):
         if d == 0:
             akey, tkey = DIM0_KEY
-        table = self.top_mul if d == self.n else self.strata[d]
-        return table.get((akey, tkey), ())
+        return self.table(d).get((akey, tkey), ())
+
+
+def _coloured(n, variance, colour_depth, bound, colours):
+    """A presentation holding only its colours (its elements when n = 0)."""
+    T = TheoryPresentation(n, variance, colour_depth, bound, {d: {} for d in range(n)}, {}, {})
+    T.table(0)[DIM0_KEY] = tuple(colours)
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +88,13 @@ class TheoryPresentation:
 
 def atom_key(spec, val):
     """The boundary key of an atom, reading labels through ``val``."""
+    cols = tuple(map(val, spec.colours))
     if spec.arity.k == 1:
-        return (tuple(val(a) for a in spec.colours),)
+        return (cols,)
     return (
-        tuple(val(a) for a in spec.colours),
-        tuple(tuple(val(a) for a in g) for g in spec.lower),
-        tuple(val(a) for a in spec.chain),
+        cols,
+        tuple([tuple(map(val, g)) for g in spec.lower]),
+        tuple(map(val, spec.chain)),
         val(spec.target),
     )
 
@@ -85,13 +102,13 @@ def atom_key(spec, val):
 def whole_key(lay, val):
     """The boundary key of a whole arity from an assignment on its layout."""
     ar = lay.arity
-    cols = tuple(val(("c", i)) for i in range(lay.colour_count))
+    cols = tuple([val(("c", i)) for i in range(lay.colour_count)])
     if ar.k == 1:
         return (cols,)
     return (
         cols,
-        tuple(tuple(val(at.address) for at in lay.atoms[nu]) for nu in range(1, ar.k - 1)),
-        tuple(val(a) for a in lay.chain_addrs),
+        tuple([tuple([val(at.address) for at in lay.atoms[nu]]) for nu in range(1, ar.k - 1)]),
+        tuple(map(val, lay.chain_addrs)),
         val(lay.target_addr),
     )
 
@@ -101,8 +118,8 @@ def lower_key(lay, val):
     if lay.arity.k == 1:
         return ()
     return (
-        tuple(val(("c", i)) for i in range(lay.colour_count)),
-        tuple(tuple(val(at.address) for at in lay.atoms[nu]) for nu in range(1, lay.arity.k - 1)),
+        tuple([val(("c", i)) for i in range(lay.colour_count)]),
+        tuple([tuple([val(at.address) for at in lay.atoms[nu]]) for nu in range(1, lay.arity.k - 1)]),
     )
 
 
@@ -134,6 +151,58 @@ def boundary_assignments(T, lay, top_level=None):
 
 
 # ---------------------------------------------------------------------------
+# typed sites
+
+
+def stratum_sites(T, d, pool):
+    """Every typed dimension-d boundary over the arities of ``pool``, as
+    ``(arity, layout, arity key, assignment, whole key)``."""
+    for ar in pool:
+        lay = layout(ar)
+        ak = canonical_key(ar)
+        for asg in boundary_assignments(T, lay):
+            yield ar, lay, ak, asg, whole_key(lay, asg.__getitem__)
+
+
+def composition_sites(T, pool, within=None):
+    """Every typed composition site over the (n+1)-arities of ``pool``, as
+    ``(arity, layout, arity key, assignment, lower key, slots)``.
+
+    The assignment covers the boundary below the chain; ``slots()``
+    returns the ``(d, akey, tkey)`` label-set keys of the chain inputs
+    and then of the target (built on call: several walks never need
+    them).  At n = 0 the assignment is empty, the lower key is ``()``
+    and every slot is the colour set.  With ``within`` (a composition
+    table), only the sites it has a nonempty entry for.
+    """
+    n = T.n
+    for P in pool:
+        lay = layout(P)
+        ak = canonical_key(P)
+        if n == 0:
+            if within is None or within.get((ak, ())):
+                yield P, lay, ak, {}, (), partial(tuple, ((0, "", ()),) * (P.top + 1))
+            continue
+        specs = [lay.atom(ad).spec for ad in lay.chain_addrs + (lay.target_addr,)]
+        tops = [(n, canonical_key(sp.arity), sp) for sp in specs]
+        for asg in boundary_assignments(T, lay, top_level=n - 1):
+            val = asg.__getitem__
+            lk = lower_key(lay, val)
+            if within is None or within.get((ak, lk)):
+                yield P, lay, ak, asg, lk, partial(_slot_keys, tops, val)
+
+
+def _slot_keys(tops, val):
+    """The label-set keys of a composition site's chain and target atoms."""
+    return tuple([(d, ck, atom_key(sp, val)) for d, ck, sp in tops])
+
+
+def site_inputs(T, slots):
+    """The input label tuples of a composition site."""
+    return product(*[T.label_set(*s) for s in slots[:-1]])
+
+
+# ---------------------------------------------------------------------------
 # construction by saturation
 
 
@@ -156,44 +225,28 @@ def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_dept
     multimaps with the given fully typed boundary (1 <= d <= n);
     ``comp_rule(arity, lay, asg, inputs)`` returns the composite label
     for a composition instance, where ``asg`` covers the lower boundary
-    plus the chain addresses.  For n = 0 ``colours`` is the element set.
+    plus the chain addresses, or :data:`SKIP` to leave the input out (a
+    site whose inputs are all left out gets no table).  For n = 0
+    ``colours`` is the element set.
     """
-    strata = {d: {} for d in range(n)}
-    top_mul = {}
-    if n > 0:
-        strata[0][DIM0_KEY] = tuple(colours)
-    else:
-        top_mul[DIM0_KEY] = tuple(colours)
-    T = TheoryPresentation(
-        n, variance, n if colour_depth is None else colour_depth, bound, strata, top_mul, {}
-    )
+    T = _coloured(n, variance, n if colour_depth is None else colour_depth, bound, colours)
     for d in range(1, n + 1):
-        table = top_mul if d == n else strata[d]
-        for ar in arity_pool(d, bound, variance, extra):
-            lay = layout(ar)
-            ak = canonical_key(ar)
-            for asg in boundary_assignments(T, lay):
-                table[(ak, whole_key(lay, asg.__getitem__))] = tuple(label_rule(d, ar, lay, asg))
-    for P in arity_pool(n + 1, bound, variance, extra):
-        lay = layout(P)
-        ak = canonical_key(P)
-        if n == 0:
-            entry = {}
-            for inputs in product(T.label_set(0), repeat=P.top):
-                entry[inputs] = comp_rule(P, lay, {}, inputs)
-            T.composition[(ak, ())] = entry
-            continue
-        for asg in boundary_assignments(T, lay, top_level=n - 1):
-            sets = []
-            for addr in lay.chain_addrs:
-                at = lay.atom(addr)
-                sets.append(T.label_set(n, canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__)))
-            entry = {}
-            for inputs in product(*sets):
-                full = dict(asg)
-                full.update(zip(lay.chain_addrs, inputs))
-                entry[inputs] = comp_rule(P, lay, full, inputs)
-            T.composition[(ak, lower_key(lay, asg.__getitem__))] = entry
+        table = T.table(d)
+        for ar, lay, ak, asg, key in stratum_sites(T, d, arity_pool(d, bound, variance, extra)):
+            table[(ak, key)] = tuple(label_rule(d, ar, lay, asg))
+    for P, lay, ak, asg, lk, slots in composition_sites(T, arity_pool(n + 1, bound, variance, extra)):
+        entry = {}
+        skipped = False
+        for inputs in site_inputs(T, slots()):
+            full = dict(asg)
+            full.update(zip(lay.chain_addrs, inputs))
+            out = comp_rule(P, lay, full, inputs)
+            if out is SKIP:
+                skipped = True
+            else:
+                entry[inputs] = out
+        if entry or not skipped:
+            T.composition[(ak, lk)] = entry
     return T
 
 
@@ -282,60 +335,44 @@ def _report(violations, warnings):
 
 def _check_strata(T, bound, viol):
     for d in range(1, T.n + 1):
-        table = T.top_mul if d == T.n else T.strata[d]
+        table = T.table(d)
         singleton = d < T.n - T.colour_depth
-        for ar in enumerate_arities(d, bound, T.variance):
-            lay = layout(ar)
-            ak = canonical_key(ar)
-            for asg in boundary_assignments(T, lay):
-                key = (ak, whole_key(lay, asg.__getitem__))
-                if key not in table:
-                    viol.append(Violation("missing-stratum", ak, (key[1],), "entry", "absent"))
-                elif singleton and len(table[key]) != 1:
-                    viol.append(Violation("colour-depth", ak, (key[1],), 1, len(table[key])))
+        for _, _, ak, _, key in stratum_sites(T, d, enumerate_arities(d, bound, T.variance)):
+            labs = table.get((ak, key))
+            if labs is None:
+                viol.append(Violation("missing-stratum", ak, (key,), "entry", "absent"))
+            elif singleton and len(labs) != 1:
+                viol.append(Violation("colour-depth", ak, (key,), 1, len(labs)))
     if 0 < T.n - T.colour_depth and len(T.label_set(0)) != 1:
         viol.append(Violation("colour-depth", "", (), 1, len(T.label_set(0))))
 
 
+def _site_witness(lk, inputs):
+    """Name a composition input in a violation; dimension 0, whose lower
+    keys are all empty, names it by the inputs alone."""
+    return (lk, inputs) if lk else (inputs,)
+
+
 def _check_closure(T, bound, viol, warn):
     no_unit = False
-    for P in enumerate_arities(T.n + 1, bound, T.variance):
-        lay = layout(P)
-        ak = canonical_key(P)
-        if T.n == 0:
-            entry = T.composition.get((ak, ()))
-            if entry is None:
-                if P.top == 0:
-                    no_unit = True
-                else:
-                    viol.append(Violation("missing-composition", ak, ((), ()), "table", "absent"))
-                continue
-            for inputs in product(T.label_set(0), repeat=P.top):
-                if inputs not in entry:
-                    viol.append(Violation("missing-composition", ak, (inputs,), "entry", "absent"))
-                elif entry[inputs] not in T.label_set(0):
-                    viol.append(Violation("composition-typing", ak, (inputs,), "element", entry[inputs]))
+    for P, _, ak, _, lk, slots in composition_sites(T, enumerate_arities(T.n + 1, bound, T.variance)):
+        entry = T.composition.get((ak, lk))
+        if entry is None:
+            if P.top == 0:
+                no_unit = True
+            else:
+                wit = (lk,) if lk else ((), ())
+                viol.append(Violation("missing-composition", ak, wit, "table", "absent"))
             continue
-        tgt = lay.atom(lay.target_addr)
-        for asg in boundary_assignments(T, lay, top_level=T.n - 1):
-            lk = lower_key(lay, asg.__getitem__)
-            entry = T.composition.get((ak, lk))
-            if entry is None:
-                if P.top == 0:
-                    no_unit = True
-                else:
-                    viol.append(Violation("missing-composition", ak, (lk,), "table", "absent"))
-                continue
-            sets = [
-                T.label_set(T.n, canonical_key(lay.atom(ad).spec.arity), atom_key(lay.atom(ad).spec, asg.__getitem__))
-                for ad in lay.chain_addrs
-            ]
-            out_set = T.label_set(T.n, canonical_key(tgt.spec.arity), atom_key(tgt.spec, asg.__getitem__))
-            for inputs in product(*sets):
-                if inputs not in entry:
-                    viol.append(Violation("missing-composition", ak, (lk, inputs), "entry", "absent"))
-                elif entry[inputs] not in out_set:
-                    viol.append(Violation("composition-typing", ak, (lk, inputs), tuple(out_set), entry[inputs]))
+        keys = slots()
+        out_set = T.label_set(*keys[-1])
+        for inputs in site_inputs(T, keys):
+            wit = _site_witness(lk, inputs)
+            if inputs not in entry:
+                viol.append(Violation("missing-composition", ak, wit, "entry", "absent"))
+            elif entry[inputs] not in out_set:
+                expected = tuple(out_set) if lk else "element"
+                viol.append(Violation("composition-typing", ak, wit, expected, entry[inputs]))
     if no_unit:
         warn.append("no unit declared (nullary composition entries absent)")
 
@@ -454,41 +491,39 @@ def _check_relabelings(T, bound, viol):
     """
     if T.n != 1 or T.variance != SYMMETRIC:
         return
-    for P in enumerate_arities(2, bound, T.variance):
-        sizes, maps = P.levels[0].sizes, P.levels[0].maps
-        if P.top != 2 or sizes[0] != sizes[1] or len(set(maps[0])) != sizes[0]:
+    pool = [
+        P
+        for P in enumerate_arities(2, bound, T.variance)
+        if P.top == 2
+        and P.levels[0].sizes[0] == P.levels[0].sizes[1]
+        and len(set(P.levels[0].maps[0])) == P.levels[0].sizes[0]
+    ]
+    for _, lay, ak, asg, lk, _ in composition_sites(T, pool, T.composition):
+        entry = T.composition[(ak, lk)]
+        # chain atoms over the first stage are the unary relabeling
+        # slots; fill them with the declared identities
+        ids = {}
+        ok = True
+        for ad in lay.chain_addrs:
+            at = lay.atom(ad)
+            if at.slot[1] != 1:
+                continue
+            ckey = (canonical_key(Arity(2, 0, (Level((1,), ()),))), ((asg[at.spec.colours[0]],), ()))
+            ident = T.composition.get(ckey, {}).get(())
+            if ident is None:
+                ok = False
+                break
+            ids[ad] = ident
+        if not ok:
             continue
-        lay = layout(P)
-        ak = canonical_key(P)
-        for asg in boundary_assignments(T, lay, top_level=0):
-            lk = lower_key(lay, asg.__getitem__)
-            entry = T.composition.get((ak, lk))
-            if entry is None:
-                continue
-            # chain atoms over the first stage are the unary relabeling
-            # slots; fill them with the declared identities
-            ids = {}
-            ok = True
-            for ad in lay.chain_addrs:
-                at = lay.atom(ad)
-                if at.slot[1] != 1:
-                    continue
-                ckey = (canonical_key(Arity(2, 0, (Level((1,), ()),))), ((asg[at.spec.colours[0]],), ()))
-                ident = T.composition.get(ckey, {}).get(())
-                if ident is None:
-                    ok = False
-                    break
-                ids[ad] = ident
-            if not ok:
-                continue
-            imgs = {}
-            for inputs in entry:
-                if all(inputs[i] == ids[ad] for i, ad in enumerate(lay.chain_addrs) if ad in ids):
-                    rest = tuple(inputs[i] for i, ad in enumerate(lay.chain_addrs) if ad not in ids)
-                    imgs[rest] = entry[inputs]
-            vals = list(imgs.values())
-            if len(set(vals)) != len(vals):
-                viol.append(Violation("relabeling-bijection", ak, (lk,), "injective", tuple(vals)))
+        imgs = {}
+        for inputs in entry:
+            if all(inputs[i] == ids[ad] for i, ad in enumerate(lay.chain_addrs) if ad in ids):
+                rest = tuple(inputs[i] for i, ad in enumerate(lay.chain_addrs) if ad not in ids)
+                imgs[rest] = entry[inputs]
+        vals = list(imgs.values())
+        if len(set(vals)) != len(vals):
+            viol.append(Violation("relabeling-bijection", ak, (lk,), "injective", tuple(vals)))
 
 
 def validate_theory(T, bound=None, assoc_sample=1):
@@ -535,21 +570,20 @@ class TheoryMorphism:
 
 def map_assignment(F, lay, asg):
     """Push a boundary assignment on a source layout through a morphism."""
-    out = {("c", i): F.act(0, "", (), asg[("c", i)]) for i in range(lay.colour_count)}
-    for nu in sorted(lay.atoms):
-        for at in lay.atoms[nu]:
-            if at.address not in asg:
-                continue
-            tkey = atom_key(at.spec, asg.__getitem__)
-            out[at.address] = F.act(nu, canonical_key(at.spec.arity), tkey, asg[at.address])
+    out = {}
+    for ad, lab in asg.items():
+        if ad[0] == "c":
+            out[ad] = F.act(0, "", (), lab)
+        else:
+            spec = lay.atom(ad).spec
+            out[ad] = F.act(ad[1], canonical_key(spec.arity), atom_key(spec, asg.__getitem__), lab)
     return out
 
 
 def identity_morphism(T):
     actions = {0: {DIM0_KEY: {c: c for c in T.label_set(0)}}}
     for d in range(1, T.n + 1):
-        table = T.top_mul if d == T.n else T.strata[d]
-        actions[d] = {key: {lab: lab for lab in labs} for key, labs in table.items()}
+        actions[d] = {key: {lab: lab for lab in labs} for key, labs in T.table(d).items()}
     return TheoryMorphism(T, T, actions)
 
 
@@ -566,47 +600,23 @@ def validate_morphism(F, bound=None):
     if viol:
         return _report(viol, warn)
     for d in range(1, S.n + 1):
-        for ar in enumerate_arities(d, bound, S.variance):
-            lay = layout(ar)
-            ak = canonical_key(ar)
-            for asg in boundary_assignments(S, lay):
-                skey = whole_key(lay, asg.__getitem__)
-                tkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
-                tset = T.label_set(d, ak, tkey)
-                for lab in S.label_set(d, ak, skey):
-                    img = F.actions.get(d, {}).get((ak, skey), {}).get(lab)
-                    if img is None or img not in tset:
-                        viol.append(Violation("morphism-typing", ak, (skey, lab), tuple(tset), img))
+        for _, lay, ak, asg, skey in stratum_sites(S, d, enumerate_arities(d, bound, S.variance)):
+            tset = T.label_set(d, ak, whole_key(lay, map_assignment(F, lay, asg).__getitem__))
+            for lab in S.label_set(d, ak, skey):
+                img = F.actions.get(d, {}).get((ak, skey), {}).get(lab)
+                if img is None or img not in tset:
+                    viol.append(Violation("morphism-typing", ak, (skey, lab), tuple(tset), img))
     if viol:
         return _report(viol, warn)
-    n = S.n
-    for P in enumerate_arities(n + 1, bound, S.variance):
-        lay = layout(P)
-        ak = canonical_key(P)
-        if n == 0:
-            entry = S.composition.get((ak, ()), {})
-            tentry = T.composition.get((ak, ()), {})
-            f0 = F.actions[0][DIM0_KEY]
-            for inputs, out in entry.items():
-                got = tentry.get(tuple(f0[x] for x in inputs))
-                if got != f0[out]:
-                    viol.append(Violation("morphism-composition", ak, (inputs,), f0[out], got))
-            continue
-        for asg in boundary_assignments(S, lay, top_level=n - 1):
-            lk = lower_key(lay, asg.__getitem__)
-            entry = S.composition.get((ak, lk), {})
-            tasg = map_assignment(F, lay, asg)
-            tentry = T.composition.get((ak, lower_key(lay, tasg.__getitem__)), {})
-            for inputs, out in entry.items():
-                fins = []
-                for ad, lab in zip(lay.chain_addrs, inputs):
-                    at = lay.atom(ad)
-                    fins.append(F.act(n, canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__), lab))
-                tat = lay.atom(lay.target_addr)
-                fout = F.act(n, canonical_key(tat.spec.arity), atom_key(tat.spec, asg.__getitem__), out)
-                got = tentry.get(tuple(fins))
-                if got != fout:
-                    viol.append(Violation("morphism-composition", ak, (lk, inputs), fout, got))
+    pool = enumerate_arities(S.n + 1, bound, S.variance)
+    for _, lay, ak, asg, lk, slots in composition_sites(S, pool, S.composition):
+        keys = slots()
+        tentry = T.composition.get((ak, lower_key(lay, map_assignment(F, lay, asg).__getitem__)), {})
+        for inputs, out in S.composition[(ak, lk)].items():
+            fout = F.act(*keys[-1], out)
+            got = tentry.get(tuple(F.act(*key, lab) for key, lab in zip(keys, inputs)))
+            if got != fout:
+                viol.append(Violation("morphism-composition", ak, _site_witness(lk, inputs), fout, got))
     return _report(viol, warn)
 
 
@@ -701,7 +711,7 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
         vi.add(0, DIM0_KEY, c)
         slots.append((0, "", (), c, colours, p and p.act(0, "", (), c)))
     for d in range(1, n + 1):
-        table = S.top_mul if d == n else S.strata[d]
+        table = S.table(d)
         for key in sorted(table, key=repr):
             ak, skey = key
             lay = layout(_arity_of_key(S, d, ak))
@@ -714,28 +724,16 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     # each composition instance, filed under the last variable it reads:
     # (arity key, lower key template, input reader, output variable)
     checks = [[] for _ in range(nv)]
-    for P in enumerate_arities(n + 1, bound, S.variance):
-        lay = layout(P)
-        ak = canonical_key(P)
-        if n == 0:
-            lk = _Template(())
-            for inputs, out in S.composition.get((ak, ()), {}).items():
-                ins = tuple(vi.act(0, "", (), x) for x in inputs)
-                tgt = vi.act(0, "", (), out)
-                checks[max(ins + (tgt,))].append((ak, lk, _reader(ins), tgt))
-            continue
-        sites = [lay.atom(ad) for ad in lay.chain_addrs + (lay.target_addr,)]
-        for asg in boundary_assignments(S, lay, top_level=n - 1):
-            entry = S.composition.get((ak, lower_key(lay, asg.__getitem__)), {})
-            if not entry:
-                continue
-            lk = _Template(lower_key(lay, map_assignment(vi, lay, asg).__getitem__))
-            lower_last = max(_flatten(lk.tpl))
-            keys = [(canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__)) for at in sites]
-            for inputs, out in entry.items():
-                ins = tuple(vi.act(n, ck, tk, lab) for (ck, tk), lab in zip(keys, inputs))
-                tgt = vi.act(n, *keys[-1], out)
-                checks[max(ins + (tgt, lower_last))].append((ak, lk, _reader(ins), tgt))
+    pool = enumerate_arities(n + 1, bound, S.variance)
+    for _, lay, ak, asg, lk, site_keys in composition_sites(S, pool, S.composition):
+        entry = S.composition[(ak, lk)]
+        keys = site_keys()
+        ltpl = _Template(lower_key(lay, map_assignment(vi, lay, asg).__getitem__))
+        lower = tuple(_flatten(ltpl.tpl))
+        for inputs, out in entry.items():
+            ins = tuple(vi.act(*key, lab) for key, lab in zip(keys, inputs))
+            tgt = vi.act(*keys[-1], out)
+            checks[max(ins + (tgt,) + lower)].append((ak, ltpl, _reader(ins), tgt))
 
     val = [None] * nv
     domains, entries = {}, {}
@@ -836,18 +834,15 @@ def _suspend(b):
 
 
 def _suspend_assignment(layb, laysa, asg, x):
-    """Transport an assignment through the level shift of a suspension."""
+    """Transport an assignment through the level shift of a suspension:
+    colour i becomes the i-th level-1 atom, and every atom moves up a
+    level at the same position."""
+    if len(laysa.atoms.get(1, ())) != layb.colour_count or any(
+        len(laysa.atoms[nu + 1]) != len(ats) for nu, ats in layb.atoms.items()
+    ):
+        raise AssertionError("suspension atom count mismatch")
     out = {("c", i): x for i in range(laysa.colour_count)}
-    if len(laysa.atoms.get(1, ())) != layb.colour_count:
-        raise AssertionError("suspension colour/atom count mismatch")
-    for i in range(layb.colour_count):
-        out[laysa.atoms[1][i].address] = asg[("c", i)]
-    for nu in sorted(layb.atoms):
-        if len(laysa.atoms[nu + 1]) != len(layb.atoms[nu]):
-            raise AssertionError("suspension atom count mismatch")
-        for i, at in enumerate(layb.atoms[nu]):
-            if at.address in asg:
-                out[laysa.atoms[nu + 1][i].address] = asg[at.address]
+    out.update((("a", 1, ad[1]) if ad[0] == "c" else _shift_addr(ad), lab) for ad, lab in asg.items())
     return out
 
 
@@ -863,45 +858,19 @@ def endo_planar(T, x):
     if x not in T.label_set(0):
         raise ValueError("not a colour")
     n2 = T.n - 1
-    strata = {d: {} for d in range(n2)}
-    top_mul = {}
-    d0 = T.label_set(1, canonical_key(Arity(1, 1, ())), ((x, x),))
-    if n2 > 0:
-        strata[0][DIM0_KEY] = tuple(d0)
-    else:
-        top_mul[DIM0_KEY] = tuple(d0)
-    V = TheoryPresentation(n2, PLANAR, n2, T.arity_bound, strata, top_mul, {})
+    V = _coloured(n2, PLANAR, n2, T.arity_bound, T.label_set(1, canonical_key(Arity(1, 1, ())), ((x, x),)))
     for d in range(1, n2 + 1):
-        table = top_mul if d == n2 else strata[d]
-        for b in enumerate_arities(d, T.arity_bound, PLANAR):
-            layb, laysa = layout(b), layout(_suspend(b))
-            bk, sk = canonical_key(b), canonical_key(_suspend(b))
-            for asg in boundary_assignments(V, layb):
-                tasg = _suspend_assignment(layb, laysa, asg, x)
-                table[(bk, whole_key(layb, asg.__getitem__))] = T.label_set(
-                    d + 1, sk, whole_key(laysa, tasg.__getitem__)
-                )
-    for P in enumerate_arities(n2 + 1, T.arity_bound, PLANAR):
-        layb, laysa = layout(P), layout(_suspend(P))
-        bk, sk = canonical_key(P), canonical_key(_suspend(P))
+        table = V.table(d)
+        for b, layb, bk, asg, key in stratum_sites(V, d, enumerate_arities(d, T.arity_bound, PLANAR)):
+            laysa = layout(_suspend(b))
+            tasg = _suspend_assignment(layb, laysa, asg, x)
+            tkey = whole_key(laysa, tasg.__getitem__)
+            table[(bk, key)] = T.label_set(d + 1, canonical_key(laysa.arity), tkey)
+    for P, layb, bk, asg, lk, slots in composition_sites(V, enumerate_arities(n2 + 1, T.arity_bound, PLANAR)):
+        laysa = layout(_suspend(P))
         if P.k > 1 and tuple(_shift_addr(a) for a in layb.chain_addrs) != laysa.chain_addrs:
             raise AssertionError("suspension chain order mismatch")
-        if n2 == 0:
-            tentry = T.composition[(sk, lower_key(laysa, lambda a: x))]
-            entry = {}
-            for inputs in product(tuple(d0), repeat=P.top):
-                entry[inputs] = tentry[inputs]
-            V.composition[(bk, ())] = entry
-            continue
-        for asg in boundary_assignments(V, layb, top_level=n2 - 1):
-            tasg = _suspend_assignment(layb, laysa, asg, x)
-            tentry = T.composition[(sk, lower_key(laysa, tasg.__getitem__))]
-            entry = {}
-            sets = [
-                V.label_set(n2, canonical_key(layb.atom(ad).spec.arity), atom_key(layb.atom(ad).spec, asg.__getitem__))
-                for ad in layb.chain_addrs
-            ]
-            for inputs in product(*sets):
-                entry[inputs] = tentry[inputs]
-            V.composition[(bk, lower_key(layb, asg.__getitem__))] = entry
+        tasg = _suspend_assignment(layb, laysa, asg, x)
+        tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa, tasg.__getitem__))]
+        V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots())}
     return V

@@ -89,6 +89,40 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/x.json"], capsys)[0] == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dimension", "1"),
+            ("dimension", 1.5),
+            ("dimension", True),
+            ("dimension", -1),
+            ("colour_depth", None),
+            ("arity_bound", 2.0),
+            ("variance", "sideways"),
+            ("strata", {}),
+            ("strata", []),
+            ("strata", [[0, []], [0, []]]),
+        ],
+    )
+    def test_bad_header_is_a_format_error(self, field, value, tmp_path, capsys):
+        obj = json.loads(serialize(assoc_operad()))
+        obj[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj))
+        for verb in ("validate", "fmt"):
+            code, out, err = run([verb, str(p)], capsys)
+            assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+
+    def test_float_label_is_a_format_error(self, tmp_path, capsys):
+        obj = json.loads(serialize(cyclic_monoid_theory(2)))
+        entry = obj["composition"][0][1][0]
+        entry[1] = 0.5
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps(obj))
+        for verb in ("validate", "fmt"):
+            code, out, err = run([verb, str(p)], capsys)
+            assert code == 2 and out == "" and "0.5" in err
+
     def test_construction_error_is_exit_one(self, tmp_path, capsys):
         p = tmp_path / "t.json"
         run(["build", "cyclic:2", "-o", str(p)], capsys)
@@ -173,6 +207,16 @@ class TestVerbs:
             text=True,
         )
         assert r.returncode == 2 and r.stdout == "" and "usage:" in r.stderr
+
+    def test_field_theories_take_no_bound(self, capsys, monkeypatch):
+        for value in ("0", "5"):
+            with pytest.raises(SystemExit) as e:
+                main(["enum", "field-theories", "codiscrete:2", "--bound", value])
+            out = capsys.readouterr()
+            assert e.value.code == 2 and out.out == "" and "no --bound" in out.err
+        # the environment default is not an explicit flag
+        monkeypatch.setenv("HTK_BOUND", "5")
+        assert run(["enum", "field-theories", "codiscrete:2"], capsys)[1] == "4\n"
 
     def test_check_suites(self, capsys):
         code, out, _ = run(["check", "theta-lax-equivalence"], capsys)
