@@ -35,6 +35,7 @@ of objects of C exactly when every isomorphism in C is an identity.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, permutations, product
+from math import prod
 
 from .theory import POINT, ValidationReport, Violation
 
@@ -336,13 +337,8 @@ def _interval_ends(src_obj, tgt_obj, comp):
     return ine, oute
 
 
-@lru_cache(maxsize=None)
 def _bord_chains(a, b, c, f, g):
     """Trace the intervals of a two-layer bordism composite.
-
-    Memoised per composition instance, filled on first use by zc_build's
-    composition, which consults it on every call; the result is
-    immutable.
 
     Returns ``(chains, loops)``.  A chain is a flow-ordered tuple of
     ``(owner, comp, in_port, out_port)`` starting and ending on the
@@ -390,6 +386,49 @@ def _bord_chains(a, b, c, f, g):
             path, _ = walk(node)
             loops.append(tuple(path))
     return tuple(chains), tuple(loops)
+
+
+@lru_cache(maxsize=None)
+def _comp_plan(inst, h):
+    """Everything but the labels of zc_build's composition at an instance.
+
+    Memoised, as the rule runs once per instance for each labelling.
+    Returns ``(chains, loops, circles, rings)``, or None if ``h`` is not
+    what the paths of ``inst`` trace.  A chain is ``(start, steps, at)``
+    and a loop ``(start, steps)``: ``start`` is the ``(side, slot)`` port
+    (sides 0, 1, 2 for a, b, c) the path enters at, a step is ``(i, side,
+    slot)`` with ``i`` its label's index in ``lf + lg`` and the port it
+    leaves at, and ``at`` the chain's place in ``h``.  ``circles`` index
+    the factors' circle labels and ``rings`` are the circles' places in ``h``.
+    """
+    (a, b, c), (f, g) = inst
+    index = {("f", m): i for i, m in enumerate(f)}
+    index.update({("g", m): len(f) + j for j, m in enumerate(g)})
+    side = {"a": 0, "b": 1, "c": 2}
+    at = {m: k for k, m in enumerate(h) if m[0] != "o"}
+    rings = tuple(k for k, m in enumerate(h) if m[0] == "o")
+    circles = tuple(i for i, m in enumerate(f + g) if m[0] == "o")
+
+    def trace(path):
+        tag, i = path[0][2]
+        return (side[tag], i), tuple((index[(o, m)], side[op[0]], op[1]) for o, m, _, op in path)
+
+    chains, loops = _bord_chains(a, b, c, f, g)
+    ends = [_chain_end(path) for path in chains]
+    if sorted(ends) != sorted(at) or len(circles) + len(loops) != len(rings):
+        return None
+    return (
+        tuple(trace(path) + (at[end],) for path, end in zip(chains, ends)),
+        tuple(trace(path) for path in loops),
+        circles,
+        rings,
+    )
+
+
+def _chain_end(path):
+    """The interval of the composite that a chain of ``_bord_chains`` becomes."""
+    ports = (path[0][2], path[-1][3])
+    return ("i", tuple(sorted(i for t, i in ports if t == "a")), tuple(sorted(i for t, i in ports if t == "c")))
 
 
 @lru_cache(maxsize=None)
@@ -446,20 +485,13 @@ def bord1_skeleton(max_points=2, max_circles=1):
             for C in objects:
                 for fm in morphisms[(A, B)]:
                     for gm in morphisms[(B, C)]:
-                        # unmemoised: the skeleton visits each instance once
-                        chains, loops = _bord_chains.__wrapped__(A, B, C, fm, gm)
+                        chains, loops = _bord_chains(A, B, C, fm, gm)
                         circles = len(loops)
                         circles += sum(1 for x in fm if x[0] == "o")
                         circles += sum(1 for x in gm if x[0] == "o")
                         if circles > max_circles:
                             continue
-                        comps = []
-                        for path in chains:
-                            ports = (path[0][2], path[-1][3])
-                            ss = tuple(sorted(i for tag, i in ports if tag == "a"))
-                            ts = tuple(sorted(i for tag, i in ports if tag == "c"))
-                            comps.append(("i", ss, ts))
-                        h = tuple(sorted(comps + [circ] * circles))
+                        h = tuple(sorted([_chain_end(path) for path in chains] + [circ] * circles))
                         compose[((A, B, C), (fm, gm))] = h
     return BasePresentation(syms, objects, morphisms, ind, identity, compose)
 
@@ -732,11 +764,15 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
     if v:
         return ValidationReport("fail", tuple(v), ())
 
+    label_sets = {}  # read once per coloured morphism: the associativity pass re-asks
+
     def families(src, tgt, cs, ct, mor):
-        sets = [X.multimaps[_component_key(src, tgt, cs, ct, comp)] for comp in mor]
-        if any(not s for s in sets):
-            return None
-        return product(*sets)
+        key = (src, tgt, cs, ct, mor)
+        if key not in label_sets:
+            sets = [X.multimaps[_component_key(src, tgt, cs, ct, comp)] for comp in mor]
+            label_sets[key] = None if any(not s for s in sets) else sets
+        sets = label_sets[key]
+        return None if sets is None else product(*sets)
 
     for inst, h in B.compose.items():
         (a, b, c), (f, g) = inst
@@ -1027,67 +1063,39 @@ def zc_build(C, base=None, hochschild=False):
                 y = cs[oute[1]] if oute[0] == "s" else ct[oute[1]]
                 multimaps[(shape, cs, ct)] = tuple(C.hom.get((x, y), ()))
 
-    def port_colour(cols, p):
-        tag, i = p
-        return cols[{"a": 0, "b": 1, "c": 2}[tag]][i]
+    def fold(cols, labs, start, steps):
+        x0 = cols[start[0]][start[1]]
+        li, side, i = steps[0]
+        cur, x = labs[li], cols[side][i]
+        for li, side, i in steps[1:]:
+            y = cols[side][i]
+            cur = C.compose.get(((x0, x, y), (cur, labs[li])))
+            if cur is None:
+                return None
+            x = y
+        return cur
 
     def comp(inst, cols, lf, lg):
-        (a, b, c), (f, g) = inst
         h = B.compose.get(inst)
-        if h is None:
+        plan = None if h is None else _comp_plan(inst, h)
+        if plan is None:
             return None
-        lab_of = {}
-        circ_f, circ_g = [], []
-        for comp_m, lab in zip(f, lf):
-            (circ_f.append(lab) if comp_m[0] == "o" else lab_of.__setitem__(("f", comp_m), lab))
-        for comp_m, lab in zip(g, lg):
-            (circ_g.append(lab) if comp_m[0] == "o" else lab_of.__setitem__(("g", comp_m), lab))
-
-        def fold(path):
-            cur = None
-            x0 = port_colour(cols, path[0][2])
-            pos = x0
-            for owner, comp_m, ip, op in path:
-                lab = lab_of[(owner, comp_m)]
-                y = port_colour(cols, op)
-                if cur is None:
-                    cur = lab
-                else:
-                    key = ((x0, pos, y), (cur, lab))
-                    if key not in C.compose:
-                        return None, None
-                    cur = C.compose[key]
-                pos = y
-            return cur, (x0, pos)
-
-        chains, loops = _bord_chains(a, b, c, f, g)
-        interval_labels = {}
-        for path in chains:
-            lab, endpoints = fold(path)
+        chains, loops, circles, rings = plan
+        labs = lf + lg
+        out = [None] * len(h)
+        for start, steps, at in chains:
+            out[at] = fold(cols, labs, start, steps)
+            if out[at] is None:
+                return None
+        circ = [labs[i] for i in circles]
+        for start, steps in loops:
+            lab = fold(cols, labs, start, steps)
             if lab is None:
                 return None
-            ports = (path[0][2], path[-1][3])
-            ss = tuple(sorted(i for tag, i in ports if tag == "a"))
-            ts = tuple(sorted(i for tag, i in ports if tag == "c"))
-            interval_labels[("i", ss, ts)] = lab
-        circles = list(circ_f) + list(circ_g)
-        for path in loops:
-            lab, endpoints = fold(path)
-            if lab is None:
-                return None
-            if hochschild:
-                circles.append(cls[(endpoints[0], lab)])
-            else:
-                circles.append(POINT)
-        circles.sort(key=repr)
-        out = []
-        for comp_m in h:
-            if comp_m[0] == "o":
-                out.append(circles.pop(0))
-            else:
-                if comp_m not in interval_labels:
-                    return None
-                out.append(interval_labels[comp_m])
+            circ.append(cls[(cols[start[0]][start[1]], lab)] if hochschild else POINT)
+        circ.sort(key=repr)
+        for at, lab in zip(rings, circ):
+            out[at] = lab
         return tuple(out)
 
     units = {}
@@ -1108,12 +1116,16 @@ def field_theories(Z, budget=1_000_000):
     A candidate is one colour per generator and one label per
     indecomposable morphism shape (at the induced colouring); it is kept
     when every tabulated base composition instance maps the induced
-    label families to each other.  Raises RuntimeError past ``budget``
-    examined candidates, saying how many were examined and kept.
+    label families to each other.  Candidates are searched depth first,
+    one shape at a time in sorted order, and each instance is checked as
+    soon as the last of its shapes is labelled; a failed check rejects
+    every candidate below it at once (forward checking).  Raises
+    RuntimeError past ``budget`` examined candidates, rejected ones
+    included, saying how many were examined and kept.
     """
     B = Z.base
     gens = tuple(B.ind_objects)
-    shapes = sorted(B.ind_morphisms)
+    shapes = tuple(sorted(B.ind_morphisms))
 
     id_shape = {}
     for g in gens:
@@ -1121,56 +1133,71 @@ def field_theories(Z, budget=1_000_000):
         if idm is not None and len(idm) == 1:
             id_shape[detached_shape((g,), (g,), idm[0])] = g
 
-    insts = [(inst, _instance_shapes(inst, h)) for inst, h in B.compose.items()]
+    insts = [(inst, *_instance_places(inst, h, shapes)) for inst, h in B.compose.items()]
 
     out = []
     seen = 0
     for colchoice in product(*(Z.colours[g] for g in gens)):
         cols = dict(zip(gens, colchoice))
         opts = []
-        dead = False
         for shape in shapes:
             so, to = B.ind_morphisms[shape]
-            cs = tuple(cols[s] for s in so)
-            ct = tuple(cols[t] for t in to)
-            labs = Z.multimaps.get((shape, cs, ct), ())
+            labs = Z.multimaps.get((shape, tuple(cols[s] for s in so), tuple(cols[t] for t in to)), ())
             if shape in id_shape and Z.units:
                 forced = Z.units.get((id_shape[shape], cols[id_shape[shape]]))
                 labs = (forced,) if forced in labs else ()
             if not labs:
-                dead = True
                 break
             opts.append(labs)
-        if dead:
-            continue
-        checks = [
-            (inst, tuple(tuple(cols[s] for s in obj) for obj in inst[0]), nf, ng, nh)
-            for inst, (nf, ng, nh) in insts
-        ]
-        for labchoice in product(*opts):
-            seen += 1
-            if seen > budget:
-                raise RuntimeError(
-                    f"field theory enumeration budget exceeded after examining {budget} candidates "
-                    f"({len(out)} field theories found)"
+        else:
+            coloured = {obj: tuple(cols[s] for s in obj) for obj in B.objects}
+            checks = [[] for _ in range(len(shapes) + 1)]
+            for inst, d, nf, ng, nh in insts:
+                a, b, c = inst[0]
+                checks[d].append((inst, (coloured[a], coloured[b], coloured[c]), nf, ng, nh))
+            # below[d]: the candidates under one labelling of the first d shapes
+            below = [prod(len(o) for o in opts[d:]) for d in range(len(shapes) + 1)]
+            labs, picks = [], []
+            while True:
+                d = len(labs)
+                passed = all(
+                    Z.composition(inst, ccols, tuple([labs[k] for k in nf]), tuple([labs[k] for k in ng]))
+                    == tuple([labs[k] for k in nh])
+                    for inst, ccols, nf, ng, nh in checks[d]
                 )
-            lab = dict(zip(shapes, labchoice))
-            if all(
-                Z.composition(inst, ccols, tuple(lab[x] for x in nf), tuple(lab[x] for x in ng))
-                == tuple(lab[x] for x in nh)
-                for inst, ccols, nf, ng, nh in checks
-            ):
-                out.append((dict(cols), dict(lab)))
+                if passed and d < len(shapes):
+                    labs.append(opts[d][0])
+                    picks.append(0)
+                    continue
+                seen += below[d]
+                if seen > budget:
+                    raise RuntimeError(
+                        f"field theory enumeration budget exceeded after examining {budget} candidates "
+                        f"({len(out)} field theories found)"
+                    )
+                if passed:
+                    out.append((dict(cols), dict(zip(shapes, labs))))
+                # the next labelling in order: back up past exhausted shapes
+                while picks and picks[-1] + 1 == len(opts[len(picks) - 1]):
+                    del labs[-1], picks[-1]
+                if not picks:
+                    break
+                picks[-1] += 1
+                labs[-1] = opts[len(picks) - 1][picks[-1]]
     return out
 
 
 @lru_cache(maxsize=None)
-def _instance_shapes(inst, h):
-    """The detached shapes of the two factors and the composite of a base
-    composition instance, memoised since every search re-reads them."""
+def _instance_places(inst, h, shapes):
+    """Where field_theories checks a base composition instance.
+
+    Returns the number of labels fixed once the last of its shapes is
+    labelled, then the positions in ``shapes`` of the detached shapes of
+    its two factors and of its composite.  Memoised since every search
+    re-reads them.
+    """
     (a, b, c), (f, g) = inst
-    return (
-        tuple(detached_shape(a, b, comp) for comp in f),
-        tuple(detached_shape(b, c, comp) for comp in g),
-        tuple(detached_shape(a, c, comp) for comp in h),
+    nf, ng, nh = (
+        tuple(shapes.index(detached_shape(s, t, comp)) for comp in m) for s, t, m in ((a, b, f), (b, c, g), (a, c, h))
     )
+    return 1 + max(nf + ng + nh, default=-1), nf, ng, nh

@@ -84,8 +84,18 @@ def _table(d):
     return [[k, v] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
 
 
+def _entries(entries):
+    """A table's entries, checked to be a list of [key, value] pairs."""
+    if type(entries) is not list:
+        raise FormatError(f"a table must be a list of [key, value] entries, got {type(entries).__name__}")
+    for e in entries:
+        if type(e) is not list or len(e) != 2:
+            raise FormatError(f"a table entry must be a [key, value] pair, got {e!r}")
+    return entries
+
+
 def _untable(entries):
-    return {_dec(k): _dec(v) for k, v in entries}
+    return {_dec(k): _dec(v) for k, v in _entries(entries)}
 
 
 def _nested(d):
@@ -93,7 +103,7 @@ def _nested(d):
 
 
 def _unnested(entries):
-    return {_dec(k): _untable(v) for k, v in entries}
+    return {_dec(k): _untable(v) for k, v in _entries(entries)}
 
 
 def theory_to_obj(T):
@@ -116,10 +126,8 @@ def _check_header(obj):
             raise FormatError(f"{name} must be a non-negative integer, got {obj[name]!r}")
     if obj["variance"] not in (SYMMETRIC, PLANAR):
         raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
-    if not isinstance(obj["strata"], list):
-        raise FormatError(f"strata must be a list, got {obj['strata']!r}")
     n = obj["dimension"]
-    dims = [d for d, _ in obj["strata"]]
+    dims = [d for d, _ in _entries(obj["strata"])]
     if len(dims) != n or any(type(d) is not int for d in dims) or sorted(dims) != list(range(n)):
         raise FormatError(f"strata must hold each dimension below {n} once")
 
@@ -153,7 +161,7 @@ def obj_to_graded(obj):
     return GradedTheoryPresentation(
         obj_to_theory(obj["base"]),
         _untable(obj["objects"]),
-        {d: _unnested(entries) for d, entries in obj["strata"]},
+        {d: _unnested(entries) for d, entries in _entries(obj["strata"])},
         _unnested(obj["top_mul"]),
         _unnested(obj["composition"]),
     )

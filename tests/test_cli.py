@@ -113,6 +113,25 @@ class TestExitCodes:
             code, out, err = run([verb, str(p)], capsys)
             assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.update(top_mul={"xy": 1}),
+            lambda obj: obj.update(top_mul=["xy"]),
+            lambda obj: obj.update(top_mul=[["x", "y", "z"]]),
+            lambda obj: obj["composition"][0].__setitem__(1, {"ab": 1}),
+        ],
+        ids=["object", "strings", "triple", "composition-object"],
+    )
+    def test_table_that_is_not_an_entry_list_is_a_format_error(self, edit, tmp_path, capsys):
+        obj = json.loads(serialize(cyclic_monoid_theory(2)))
+        edit(obj)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj))
+        for verb in ("validate", "fmt"):
+            code, out, err = run([verb, str(p)], capsys)
+            assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+
     def test_float_label_is_a_format_error(self, tmp_path, capsys):
         obj = json.loads(serialize(cyclic_monoid_theory(2)))
         entry = obj["composition"][0][1][0]
