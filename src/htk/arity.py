@@ -27,7 +27,7 @@ they are never silently absorbed.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .ordcomb import PLANAR, SYMMETRIC, enumerate_maps
@@ -499,6 +499,22 @@ class Layout:
 
     def atom(self, addr):
         return self.atoms[addr[1]][addr[2]]
+
+    @cached_property
+    def colour_addrs(self):
+        return tuple(("c", i) for i in range(self.colour_count))
+
+    @cached_property
+    def lower_addrs(self):
+        """The atom addresses of each level below the top pair's."""
+        return tuple(tuple(at.address for at in self.atoms[nu]) for nu in range(1, self.arity.k - 1))
+
+    @cached_property
+    def steps(self):
+        """Every atom as (address, level, arity key, spec), level by
+        level in canonical order: the order assignments fill them in."""
+        atoms = [(nu, at) for nu in range(1, self.arity.k) for at in self.atoms[nu]]
+        return tuple((at.address, nu, canonical_key(at.spec.arity), at.spec) for nu, at in atoms)
 
 
 @lru_cache(maxsize=None)

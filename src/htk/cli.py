@@ -7,14 +7,16 @@ serialize to byte-identical files, which the golden tests rely on.
 
 Exit codes: 0 success, 1 violations or construction errors, 2 parse,
 format or usage errors.  ``HTK_BOUND`` overrides the default arity
-bound of 2 wherever no ``--bound`` flag is given; ``enum field-theories``
-takes no bound.
+bound wherever no ``--bound`` flag is given.  That default is 2, except
+that ``validate`` checks a file at its own ``arity_bound``; ``enum
+field-theories`` takes no bound.
 """
 
 import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 
 from .bases import (
     chain_category,
@@ -66,22 +68,25 @@ class FormatError(Exception):
 # canonical encoding
 
 
+_enc = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def _dec(x):
     """A decoded value: lists become tuples; strings, integers, booleans
     and null are the only scalars."""
-    if isinstance(x, list):
-        return tuple(_dec(e) for e in x)
-    if isinstance(x, (str, int)) or x is None:
+    if type(x) is list:
+        return tuple([e if type(e) in _SCALARS else _dec(e) for e in x])
+    if type(x) in _SCALARS:
         return x
     raise FormatError(f"unsupported value {x!r}")
 
 
-def _skey(x):
-    return json.dumps(x, sort_keys=True, separators=(",", ":"))
-
-
-def _table(d):
-    return [[k, v] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
+def _table(d, value=_enc):
+    """A table as the text of its entry list: each key and value encoded
+    once, the entries in the order of their key texts."""
+    items = sorted(zip(map(_enc, d), map(value, d.values())), key=itemgetter(0))
+    return "[" + ",".join([f"[{k},{v}]" for k, v in items]) + "]"
 
 
 def _entries(entries):
@@ -99,25 +104,26 @@ def _untable(entries):
 
 
 def _nested(d):
-    return [[k, _table(v)] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
+    return _table(d, _table)
 
 
 def _unnested(entries):
     return {_dec(k): _untable(v) for k, v in _entries(entries)}
 
 
-def theory_to_obj(T):
-    return {
-        "format": FORMAT,
-        "kind": "theory",
-        "dimension": T.n,
-        "variance": T.variance,
-        "colour_depth": T.colour_depth,
-        "arity_bound": T.arity_bound,
-        "strata": [[d, _table(T.strata[d])] for d in sorted(T.strata)],
-        "top_mul": _table(T.top_mul),
-        "composition": _nested(T.composition),
-    }
+def _object(kind, strata, table, **texts):
+    """The text of a file's JSON object: the format tag, ``kind``, the
+    ``strata`` tables written by ``table``, and the fields given as
+    text; names sorted."""
+    strata = ",".join([f"[{d},{table(strata[d])}]" for d in sorted(strata)])
+    texts.update(format=_enc(FORMAT), kind=_enc(kind), strata=f"[{strata}]")
+    return "{" + ",".join([f'"{k}":{texts[k]}' for k in sorted(texts)]) + "}"
+
+
+def _theory_text(T):
+    head = {"dimension": T.n, "variance": T.variance, "colour_depth": T.colour_depth, "arity_bound": T.arity_bound}
+    head = {name: _enc(value) for name, value in head.items()}
+    return _object("theory", T.strata, _table, top_mul=_table(T.top_mul), composition=_nested(T.composition), **head)
 
 
 def _check_header(obj):
@@ -126,10 +132,15 @@ def _check_header(obj):
             raise FormatError(f"{name} must be a non-negative integer, got {obj[name]!r}")
     if obj["variance"] not in (SYMMETRIC, PLANAR):
         raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
-    n = obj["dimension"]
-    dims = [d for d, _ in _entries(obj["strata"])]
-    if len(dims) != n or any(type(d) is not int for d in dims) or sorted(dims) != list(range(n)):
-        raise FormatError(f"strata must hold each dimension below {n} once")
+    _strata_entries(obj["strata"], range(obj["dimension"]))
+
+
+def _strata_entries(entries, dims):
+    """A strata list, checked to hold each of ``dims`` once, as an int."""
+    got = [d for d, _ in _entries(entries)]
+    if any(type(d) is not int for d in got) or sorted(got) != list(dims):
+        raise FormatError(f"strata must hold each dimension of {list(dims)} once, got {got!r}")
+    return entries
 
 
 def obj_to_theory(obj):
@@ -145,34 +156,35 @@ def obj_to_theory(obj):
     )
 
 
-def graded_to_obj(X):
-    return {
-        "format": FORMAT,
-        "kind": "graded",
-        "base": theory_to_obj(X.base),
-        "objects": _table(X.objects),
-        "strata": [[d, _nested(X.strata[d])] for d in sorted(X.strata)],
-        "top_mul": _nested(X.top_mul),
-        "composition": _nested(X.composition),
-    }
+def _graded_text(X):
+    return _object(
+        "graded",
+        X.strata,
+        _nested,
+        base=_theory_text(X.base),
+        objects=_table(X.objects),
+        top_mul=_nested(X.top_mul),
+        composition=_nested(X.composition),
+    )
 
 
 def obj_to_graded(obj):
+    base = obj_to_theory(obj["base"])
     return GradedTheoryPresentation(
-        obj_to_theory(obj["base"]),
+        base,
         _untable(obj["objects"]),
-        {d: _unnested(entries) for d, entries in _entries(obj["strata"])},
+        {d: _unnested(entries) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
         _unnested(obj["top_mul"]),
         _unnested(obj["composition"]),
     )
 
 
 def serialize(P):
+    """The canonical text of a presentation; it equals ``json.dumps`` of
+    the file's object with sorted keys and compact separators."""
     if isinstance(P, GradedTheoryPresentation):
-        obj = graded_to_obj(P)
-    else:
-        obj = theory_to_obj(P)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return _graded_text(P) + "\n"
+    return _theory_text(P) + "\n"
 
 
 def parse(text):
@@ -418,7 +430,7 @@ def main(argv=None):
 
     p = sub.add_parser("validate", help="validate a presentation file")
     p.add_argument("path")
-    p.add_argument("--bound", type=_bound_arg)
+    p.add_argument("--bound", type=_bound_arg, help="arity bound to check at (default: the file's)")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", help="write a zoo presentation")
@@ -470,9 +482,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "what", None) == "field-theories" and args.bound is not None:
         parser.error("enum field-theories takes no --bound: its bordism skeleton is fixed")
-    if hasattr(args, "bound") and args.bound is None:
+    env = os.environ.get("HTK_BOUND")
+    if hasattr(args, "bound") and args.bound is None and (env or args.command != "validate"):
         try:
-            args.bound = _bound_arg(os.environ.get("HTK_BOUND") or "2")
+            args.bound = _bound_arg(env or "2")
         except argparse.ArgumentTypeError as e:
             parser.error(f"HTK_BOUND: {e}")
     try:

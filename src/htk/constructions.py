@@ -190,10 +190,9 @@ def theta(C, bound=None, extra=None):
     for P, lay, ak, asg, key in stratum_sites(U, n2, arity_pool(n2, bound, T.variance, extra)):
         U.top_mul[(ak, key)] = (POINT,) if _composes(T, P, lay, asg) else ()
     for A, _, ak, _, lk, slots in composition_sites(U, arity_pool(n2 + 1, bound, T.variance, extra)):
-        keys = slots()
-        if A.top == 0 and not U.label_set(*keys[-1]):
+        if A.top == 0 and not U.label_set(*slots.key(-1)):
             continue  # the source declared no unit; stay silent too
-        U.composition[(ak, lk)] = dict.fromkeys(site_inputs(U, keys), POINT)
+        U.composition[(ak, lk)] = dict.fromkeys(site_inputs(U, slots), POINT)
     return U
 
 

@@ -813,7 +813,7 @@ def _algebra_pair_2(alg, bound):
     for _, lay, ak, asg, lk, slots in composition_sites(Y, enumerate_arities(3, bound, W.variance)):
         wentry = W.composition.get((ak, lower_key(lay, lambda ad: asg[ad][0])))
         if wentry is not None:
-            Y.composition[(ak, lk)] = {ins: wentry[ins] for ins in site_inputs(Y, slots())}
+            Y.composition[(ak, lk)] = {ins: wentry[ins] for ins in site_inputs(Y, slots)}
     actions = {
         0: {DIM0_KEY: {c: c[0] for c in cols}},
         1: {key: {lab: lab[0] for lab in labs} for key, labs in Y.strata[1].items()},

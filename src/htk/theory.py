@@ -15,8 +15,9 @@ order, so keys built for a stored arity and keys recovered from an atom
 inside a bigger arity agree positionally.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 
@@ -24,7 +25,6 @@ from .arity import (
     Arity,
     Level,
     canonical_key,
-    concrete,
     decompose,
     decompose_general,
     enumerate_arities,
@@ -101,26 +101,16 @@ def atom_key(spec, val):
 
 def whole_key(lay, val):
     """The boundary key of a whole arity from an assignment on its layout."""
-    ar = lay.arity
-    cols = tuple([val(("c", i)) for i in range(lay.colour_count)])
-    if ar.k == 1:
-        return (cols,)
-    return (
-        cols,
-        tuple([tuple([val(at.address) for at in lay.atoms[nu]]) for nu in range(1, ar.k - 1)]),
-        tuple(map(val, lay.chain_addrs)),
-        val(lay.target_addr),
-    )
+    if lay.arity.k == 1:
+        return (tuple(map(val, lay.colour_addrs)),)
+    return lower_key(lay, val) + (tuple(map(val, lay.chain_addrs)), val(lay.target_addr))
 
 
 def lower_key(lay, val):
     """The part of a composition arity's boundary below the top pair."""
     if lay.arity.k == 1:
         return ()
-    return (
-        tuple([val(("c", i)) for i in range(lay.colour_count)]),
-        tuple([tuple([val(at.address) for at in lay.atoms[nu]]) for nu in range(1, lay.arity.k - 1)]),
-    )
+    return (tuple(map(val, lay.colour_addrs)), tuple([tuple(map(val, g)) for g in lay.lower_addrs]))
 
 
 def boundary_assignments(T, lay, top_level=None):
@@ -130,24 +120,37 @@ def boundary_assignments(T, lay, top_level=None):
     set its own arity and (already assigned) boundary key select.  Only
     atoms at levels <= ``top_level`` are assigned (default: all).
     """
-    k = lay.arity.k
-    if top_level is None:
-        top_level = k - 1
-    atoms = [at for nu in range(1, top_level + 1) for at in lay.atoms.get(nu, ())]
+    top = lay.arity.k - 1 if top_level is None else top_level
+    return _walk(T, lay.colour_addrs, [s for s in lay.steps if s[1] <= top])
 
-    def rec(i, asg):
-        if i == len(atoms):
-            yield dict(asg)
-            return
-        at = atoms[i]
-        opts = T.label_set(at.address[1], canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__))
-        for lab in opts:
-            asg[at.address] = lab
-            yield from rec(i + 1, asg)
-        asg.pop(at.address, None)
 
-    for cols in product(T.label_set(0), repeat=lay.colour_count):
-        yield from rec(0, {("c", i): c for i, c in enumerate(cols)})
+def _walk(T, cols, steps):
+    """Every assignment of colours to the addresses ``cols``, extended
+    depth first by a label of each step's atom in turn, drawn from the
+    label set its (already assigned) boundary selects."""
+    plan = [(ad, T.table(nu).get, ck, spec) for ad, nu, ck, spec in steps]
+    last = len(plan) - 1
+    for vals in product(T.label_set(0), repeat=len(cols)):
+        asg = dict(zip(cols, vals))
+        if last < 0:
+            yield asg
+            continue
+        get = asg.__getitem__
+        _, look, ck, spec = plan[0]
+        # stack[i] holds the untried labels of step i
+        stack = [iter(look((ck, atom_key(spec, get)), ()))]
+        while stack:
+            i = len(stack) - 1
+            for lab in stack[i]:
+                asg[plan[i][0]] = lab
+                if i == last:
+                    yield dict(asg)
+                    continue
+                _, look, ck, spec = plan[i + 1]
+                stack.append(iter(look((ck, atom_key(spec, get)), ())))
+                break
+            else:
+                stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +171,12 @@ def composition_sites(T, pool, within=None):
     """Every typed composition site over the (n+1)-arities of ``pool``, as
     ``(arity, layout, arity key, assignment, lower key, slots)``.
 
-    The assignment covers the boundary below the chain; ``slots()``
-    returns the ``(d, akey, tkey)`` label-set keys of the chain inputs
-    and then of the target (built on call: several walks never need
-    them).  At n = 0 the assignment is empty, the lower key is ``()``
-    and every slot is the colour set.  With ``within`` (a composition
-    table), only the sites it has a nonempty entry for.
+    The assignment covers the boundary below the chain; ``slots`` gives
+    the ``(d, akey, tkey)`` label-set keys of the chain inputs and then
+    of the target (see :class:`Slots`).  At n = 0 the assignment is
+    empty, the lower key is ``()`` and every slot is the colour set.
+    With ``within`` (a composition table), only the sites it has a
+    nonempty entry for.
     """
     n = T.n
     for P in pool:
@@ -181,25 +184,41 @@ def composition_sites(T, pool, within=None):
         ak = canonical_key(P)
         if n == 0:
             if within is None or within.get((ak, ())):
-                yield P, lay, ak, {}, (), partial(tuple, ((0, "", ()),) * (P.top + 1))
+                yield P, lay, ak, {}, (), Slots(((None, 0, "", None),) * (P.top + 1), None)
             continue
-        specs = [lay.atom(ad).spec for ad in lay.chain_addrs + (lay.target_addr,)]
-        tops = [(n, canonical_key(sp.arity), sp) for sp in specs]
-        for asg in boundary_assignments(T, lay, top_level=n - 1):
+        below = [s for s in lay.steps if s[1] < n]
+        tops = lay.steps[len(below) :]  # the top level: chain atoms, then the target
+        for asg in _walk(T, lay.colour_addrs, below):
             val = asg.__getitem__
             lk = lower_key(lay, val)
             if within is None or within.get((ak, lk)):
-                yield P, lay, ak, asg, lk, partial(_slot_keys, tops, val)
+                yield P, lay, ak, asg, lk, Slots(tops, val)
 
 
-def _slot_keys(tops, val):
-    """The label-set keys of a composition site's chain and target atoms."""
-    return tuple([(d, ck, atom_key(sp, val)) for d, ck, sp in tops])
+class Slots(namedtuple("Slots", "steps val")):
+    """The label-set keys of a composition site's chain atoms and then
+    its target: ``key(i)`` builds the i-th on call (-1 is the target)
+    and ``slots()`` all of them.  Most sites are never keyed in full."""
+
+    __slots__ = ()
+
+    def key(self, i):
+        _, d, ck, spec = self.steps[i]
+        return (d, ck, atom_key(spec, self.val) if spec else ())
+
+    def __call__(self):
+        return tuple(map(self.key, range(len(self.steps))))
 
 
 def site_inputs(T, slots):
-    """The input label tuples of a composition site."""
-    return product(*[T.label_set(*s) for s in slots[:-1]])
+    """The input label tuples of a composition site; none as soon as a
+    chain slot has no labels, and the slots after it are never keyed."""
+    sets = []
+    for i in range(len(slots.steps) - 1):
+        sets.append(T.label_set(*slots.key(i)))
+        if not sets[-1]:
+            return ()
+    return product(*sets)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +256,7 @@ def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_dept
     for P, lay, ak, asg, lk, slots in composition_sites(T, arity_pool(n + 1, bound, variance, extra)):
         entry = {}
         skipped = False
-        for inputs in site_inputs(T, slots()):
+        for inputs in site_inputs(T, slots):
             full = dict(asg)
             full.update(zip(lay.chain_addrs, inputs))
             out = comp_rule(P, lay, full, inputs)
@@ -364,9 +383,8 @@ def _check_closure(T, bound, viol, warn):
                 wit = (lk,) if lk else ((), ())
                 viol.append(Violation("missing-composition", ak, wit, "table", "absent"))
             continue
-        keys = slots()
-        out_set = T.label_set(*keys[-1])
-        for inputs in site_inputs(T, keys):
+        out_set = T.label_set(*slots.key(-1))
+        for inputs in site_inputs(T, slots):
             wit = _site_witness(lk, inputs)
             if inputs not in entry:
                 viol.append(Violation("missing-composition", ak, wit, "entry", "absent"))
@@ -375,32 +393,6 @@ def _check_closure(T, bound, viol, warn):
                 viol.append(Violation("composition-typing", ak, wit, expected, entry[inputs]))
     if no_unit:
         warn.append("no unit declared (nullary composition entries absent)")
-
-
-def _free_assignments(T, lay, C):
-    """Assignments of the free data of an associativity instance: the
-    full boundary below the top-adjacent level plus the labels sitting
-    over the initial bracket position of that level."""
-    n = T.n
-    if n == 0:
-        toks = C.levels[0].entries[0]
-        for vals in product(T.label_set(0), repeat=len(toks)):
-            yield {lay.refs[t]: v for t, v in zip(toks, vals)}
-        return
-    free_atoms = [lay.atom(ad) for t in C.levels[n].entries[0] for ad in lay.refs[t].values()]
-
-    def rec(i, asg):
-        if i == len(free_atoms):
-            yield dict(asg)
-            return
-        at = free_atoms[i]
-        for lab in T.label_set(n, canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__)):
-            asg[at.address] = lab
-            yield from rec(i + 1, asg)
-        asg.pop(at.address, None)
-
-    for asg in boundary_assignments(T, lay, top_level=n - 1):
-        yield from rec(0, asg)
 
 
 def _site_template(spec):
@@ -414,13 +406,37 @@ def _site_template(spec):
 def _site_eval(tpl, state):
     """(table key, input labels, output address) from a template."""
     ak, cols, lows, chain, out_addr, _ = tpl
+    get = state.__getitem__
     if cols is None:
-        return (ak, ()), tuple(state[a] for a in chain), out_addr
-    lk = (
-        tuple(state[a] for a in cols),
-        tuple(tuple(state[a] for a in g) for g in lows),
+        return (ak, ()), tuple(map(get, chain)), out_addr
+    lk = (tuple(map(get, cols)), tuple([tuple(map(get, g)) for g in lows]))
+    return (ak, lk), tuple(map(get, chain)), out_addr
+
+
+@lru_cache(maxsize=None)
+def _assoc_plan(A, n):
+    """Everything of the associativity instances over A but the labels:
+    the free data (colour addresses and atom steps: the boundary below
+    the top-adjacent level, then the atoms over that level's initial
+    bracket position, which come first in it), the templates of the
+    stages in order, the right-hand template and the final address."""
+    lay = layout(A)
+    C = lay.conc
+    lv = C.levels[n]
+    final = lay.refs[lv.entries[-1][0]]
+    if n == 0:
+        free = (tuple(lay.refs[t] for t in C.levels[0].entries[0]), ())
+    else:
+        final = next(iter(final.values()))
+        below = sum(1 for s in lay.steps if s[1] < n)
+        free = (lay.colour_addrs, lay.steps[: below + sum(len(lay.refs[t]) for t in lv.entries[0])])
+    stages = tuple(
+        _site_template(resolve_leaf(leaf, lay.refs))
+        for j in range(1, len(lv.maps) + 1)
+        for leaf in decompose(slot_ctx(C.levels, n + 1, j - 1, j))
     )
-    return (ak, lk), tuple(state[a] for a in chain), out_addr
+    rhs = _site_template(resolve_leaf(decompose(slot_ctx(C.levels, n + 1, 0, len(lv.maps)))[0], lay.refs))
+    return free, stages, rhs, final
 
 
 def _check_associativity(T, bound, viol, warn, sample=1):
@@ -433,52 +449,29 @@ def _check_associativity(T, bound, viol, warn, sample=1):
     n = T.n
     skipped_units = False
     for A in enumerate_arities(n + 2, bound, T.variance)[::sample]:
-        C = concrete(A)
-        lay = layout(A)
-        lv = C.levels[n]
-        top_tok = lv.entries[-1][0]
-        final = lay.refs[top_tok] if n == 0 else next(iter(lay.refs[top_tok].values()))
-        stages = [
-            [
-                _site_template(resolve_leaf(leaf, lay.refs))
-                for leaf in decompose(slot_ctx(C.levels, n + 1, j - 1, j))
-            ]
-            for j in range(1, len(lv.maps) + 1)
-        ]
-        rhs_tpl = _site_template(
-            resolve_leaf(decompose(slot_ctx(C.levels, n + 1, 0, len(lv.maps)))[0], lay.refs)
-        )
+        free, stages, rhs_tpl, final = _assoc_plan(A, n)
         ak = canonical_key(A)
-        for init in _free_assignments(T, lay, C):
+        for init in _walk(T, *free):
             state = dict(init)
-            bad = False
-            for specs in stages:
-                for tpl in specs:
-                    key, ins, out_addr = _site_eval(tpl, state)
-                    out = T.composition.get(key, {}).get(ins)
-                    if out is None:
-                        if tpl[5] and key not in T.composition:
-                            skipped_units = True
-                        else:
-                            viol.append(Violation("missing-composition", key[0], (key[1], ins), "entry", "absent"))
-                        bad = True
-                        break
-                    state[out_addr] = out
-                if bad:
+            for tpl in stages:
+                key, ins, out_addr = _site_eval(tpl, state)
+                state[out_addr] = T.composition.get(key, {}).get(ins)
+                if state[out_addr] is None:
                     break
-            if bad:
-                continue
-            key, ins, out_addr = _site_eval(rhs_tpl, init)
-            rhs = T.composition.get(key, {}).get(ins)
-            if rhs is None:
-                if rhs_tpl[5] and key not in T.composition:
-                    skipped_units = True
+            else:
+                tpl = rhs_tpl
+                key, ins, _ = _site_eval(tpl, init)
+                rhs = T.composition.get(key, {}).get(ins)
+                if rhs is not None:
+                    if state[final] != rhs:
+                        wit = tuple(sorted(init.items(), key=repr))
+                        viol.append(Violation("associativity", ak, wit, rhs, state[final]))
                     continue
+            # the entry at (key, ins) is missing
+            if tpl[5] and key not in T.composition:
+                skipped_units = True
+            else:
                 viol.append(Violation("missing-composition", key[0], (key[1], ins), "entry", "absent"))
-                continue
-            if state[final] != rhs:
-                wit = tuple(sorted(init.items(), key=repr))
-                viol.append(Violation("associativity", ak, wit, rhs, state[final]))
     if skipped_units:
         warn.append("associativity instances needing undeclared units were skipped")
 
@@ -872,5 +865,5 @@ def endo_planar(T, x):
             raise AssertionError("suspension chain order mismatch")
         tasg = _suspend_assignment(layb, laysa, asg, x)
         tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa, tasg.__getitem__))]
-        V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots())}
+        V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots)}
     return V

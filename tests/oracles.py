@@ -1,0 +1,186 @@
+"""The plain routes that compiled plans and the one-pass codec replaced.
+
+Differential tests compare the library against these:
+
+* ``boundary_assignments``: a recursive walk that keys every atom
+  through ``canonical_key`` and ``atom_key`` afresh;
+* ``check_associativity``: builds its stage templates on every call
+  instead of reading them from ``theory._assoc_plan``;
+* ``serialize``: the tree serializer, which builds the file's object
+  and hands it to ``json.dumps`` (each key is encoded twice: once to
+  sort, once to write);
+* ``dec``: the recursive decoder of JSON values.
+"""
+
+import json
+from itertools import product
+
+from htk.arity import canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
+from htk.cli import FORMAT, FormatError
+from htk.graded import GradedTheoryPresentation
+from htk.theory import Violation, _site_eval, _site_template, atom_key
+
+# ---------------------------------------------------------------------------
+# layout walks
+
+
+def boundary_assignments(T, lay, top_level=None):
+    k = lay.arity.k
+    if top_level is None:
+        top_level = k - 1
+    atoms = [at for nu in range(1, top_level + 1) for at in lay.atoms.get(nu, ())]
+
+    def rec(i, asg):
+        if i == len(atoms):
+            yield dict(asg)
+            return
+        at = atoms[i]
+        opts = T.label_set(at.address[1], canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__))
+        for lab in opts:
+            asg[at.address] = lab
+            yield from rec(i + 1, asg)
+        asg.pop(at.address, None)
+
+    for cols in product(T.label_set(0), repeat=lay.colour_count):
+        yield from rec(0, {("c", i): c for i, c in enumerate(cols)})
+
+
+# ---------------------------------------------------------------------------
+# associativity
+
+
+def _free_assignments(T, lay, C):
+    n = T.n
+    if n == 0:
+        toks = C.levels[0].entries[0]
+        for vals in product(T.label_set(0), repeat=len(toks)):
+            yield {lay.refs[t]: v for t, v in zip(toks, vals)}
+        return
+    free_atoms = [lay.atom(ad) for t in C.levels[n].entries[0] for ad in lay.refs[t].values()]
+
+    def rec(i, asg):
+        if i == len(free_atoms):
+            yield dict(asg)
+            return
+        at = free_atoms[i]
+        for lab in T.label_set(n, canonical_key(at.spec.arity), atom_key(at.spec, asg.__getitem__)):
+            asg[at.address] = lab
+            yield from rec(i + 1, asg)
+        asg.pop(at.address, None)
+
+    for asg in boundary_assignments(T, lay, top_level=n - 1):
+        yield from rec(0, asg)
+
+
+def check_associativity(T, bound, viol, warn, sample=1):
+    """A drop-in for ``theory._check_associativity``."""
+    n = T.n
+    skipped_units = False
+    for A in enumerate_arities(n + 2, bound, T.variance)[::sample]:
+        C = concrete(A)
+        lay = layout(A)
+        lv = C.levels[n]
+        top_tok = lv.entries[-1][0]
+        final = lay.refs[top_tok] if n == 0 else next(iter(lay.refs[top_tok].values()))
+        stages = [
+            [
+                _site_template(resolve_leaf(leaf, lay.refs))
+                for leaf in decompose(slot_ctx(C.levels, n + 1, j - 1, j))
+            ]
+            for j in range(1, len(lv.maps) + 1)
+        ]
+        rhs_tpl = _site_template(
+            resolve_leaf(decompose(slot_ctx(C.levels, n + 1, 0, len(lv.maps)))[0], lay.refs)
+        )
+        ak = canonical_key(A)
+        for init in _free_assignments(T, lay, C):
+            state = dict(init)
+            bad = False
+            for specs in stages:
+                for tpl in specs:
+                    key, ins, out_addr = _site_eval(tpl, state)
+                    out = T.composition.get(key, {}).get(ins)
+                    if out is None:
+                        if tpl[5] and key not in T.composition:
+                            skipped_units = True
+                        else:
+                            viol.append(Violation("missing-composition", key[0], (key[1], ins), "entry", "absent"))
+                        bad = True
+                        break
+                    state[out_addr] = out
+                if bad:
+                    break
+            if bad:
+                continue
+            key, ins, out_addr = _site_eval(rhs_tpl, init)
+            rhs = T.composition.get(key, {}).get(ins)
+            if rhs is None:
+                if rhs_tpl[5] and key not in T.composition:
+                    skipped_units = True
+                    continue
+                viol.append(Violation("missing-composition", key[0], (key[1], ins), "entry", "absent"))
+                continue
+            if state[final] != rhs:
+                wit = tuple(sorted(init.items(), key=repr))
+                viol.append(Violation("associativity", ak, wit, rhs, state[final]))
+    if skipped_units:
+        warn.append("associativity instances needing undeclared units were skipped")
+
+
+# ---------------------------------------------------------------------------
+# canonical files
+
+
+def _skey(x):
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
+def _table(d):
+    return [[k, v] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
+
+
+def _nested(d):
+    return [[k, _table(v)] for k, v in sorted(d.items(), key=lambda kv: _skey(kv[0]))]
+
+
+def theory_to_obj(T):
+    return {
+        "format": FORMAT,
+        "kind": "theory",
+        "dimension": T.n,
+        "variance": T.variance,
+        "colour_depth": T.colour_depth,
+        "arity_bound": T.arity_bound,
+        "strata": [[d, _table(T.strata[d])] for d in sorted(T.strata)],
+        "top_mul": _table(T.top_mul),
+        "composition": _nested(T.composition),
+    }
+
+
+def graded_to_obj(X):
+    return {
+        "format": FORMAT,
+        "kind": "graded",
+        "base": theory_to_obj(X.base),
+        "objects": _table(X.objects),
+        "strata": [[d, _nested(X.strata[d])] for d in sorted(X.strata)],
+        "top_mul": _nested(X.top_mul),
+        "composition": _nested(X.composition),
+    }
+
+
+def serialize(P):
+    if isinstance(P, GradedTheoryPresentation):
+        obj = graded_to_obj(P)
+    else:
+        obj = theory_to_obj(P)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dec(x):
+    """A drop-in for ``cli._dec``."""
+    if isinstance(x, list):
+        return tuple(dec(e) for e in x)
+    if isinstance(x, (str, int)) or x is None:
+        return x
+    raise FormatError(f"unsupported value {x!r}")

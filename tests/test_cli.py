@@ -8,7 +8,7 @@ import pytest
 
 from htk.cli import main, parse, serialize
 from htk.graded import product_graded, terminal_graded
-from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad
+from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
 
 
 def run(argv, capsys):
@@ -132,6 +132,26 @@ class TestExitCodes:
             code, out, err = run([verb, str(p)], capsys)
             assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda strata: strata[0].__setitem__(0, 1.5),
+            lambda strata: strata[0].__setitem__(0, "x"),
+            lambda strata: strata[0].__setitem__(0, 9),
+            lambda strata: strata.append(strata[0]),
+        ],
+        ids=["float", "string", "out-of-range", "duplicate"],
+    )
+    def test_bad_graded_stratum_is_a_format_error(self, edit, tmp_path, capsys):
+        obj = json.loads(serialize(terminal_graded(terminal_theory(2, bound=1), bound=1)))
+        assert [d for d, _ in obj["strata"]] == [1]
+        edit(obj["strata"])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj))
+        for verb in ("validate", "fmt"):
+            code, out, err = run([verb, str(p)], capsys)
+            assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+
     def test_float_label_is_a_format_error(self, tmp_path, capsys):
         obj = json.loads(serialize(cyclic_monoid_theory(2)))
         entry = obj["composition"][0][1][0]
@@ -183,6 +203,18 @@ class TestVerbs:
         assert run(["enum", "functors", str(c2), str(c2)], capsys)[1] == "2\n"
         assert run(["enum", "field-theories", "codiscrete:2"], capsys)[1] == "4\n"
         assert run(["enum", "field-theories", "unit"], capsys)[1] == "1\n"
+
+    def test_validate_checks_at_the_file_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HTK_BOUND", raising=False)
+        p = tmp_path / "a1.json"
+        assert run(["build", "assoc", "--bound", "1", "-o", str(p)], capsys)[0] == 0
+        code, out, _ = run(["validate", str(p)], capsys)
+        assert code == 0 and "missing" not in out
+        # a larger bound, asked for, still reports the untabulated sites
+        code, out, _ = run(["validate", str(p), "--bound", "2"], capsys)
+        assert code == 1 and "missing-composition" in out
+        monkeypatch.setenv("HTK_BOUND", "2")
+        assert run(["validate", str(p)], capsys)[0] == 1
 
     def test_bound_resolution(self, tmp_path, capsys, monkeypatch):
         a = tmp_path / "a.json"

@@ -1,0 +1,146 @@
+"""Differential tests of the compiled site plans and the one-pass codec.
+
+The routes they replaced live in ``oracles``: the recursive boundary
+walk, associativity with its templates rebuilt on every call, the
+``json.dumps`` tree serializer and the recursive decoder.  Each must
+agree with the library: the same assignments in the same order, the
+same validation lines, the same bytes and equal parses.
+"""
+
+from dataclasses import replace
+from functools import lru_cache, partial
+
+import oracles
+import pytest
+import test_golden
+
+from htk import cli, theory
+from htk.arity import enumerate_arities, layout
+from htk.constructions import disc_monoidal, theta
+from htk.ordcomb import PLANAR, SYMMETRIC
+from htk.theory import SKIP, boundary_assignments, build_theory, validate_theory
+from htk.zoo import discrete_category, terminal_theory
+
+
+def _labels(d, ar, lay, asg):
+    """One or two labels at odd dimensions, none or one at even ones,
+    depending on the boundary."""
+    r = (ar.top + len(set(asg.values()))) % 2
+    return tuple(f"{d}.{i}" for i in range(r if d % 2 == 0 else r + 1))
+
+
+@lru_cache(maxsize=None)
+def _walk_theory(n, variance):
+    """A theory of dimension n (tables only) whose label sets vary in
+    size, some empty; one colour at n = 3 keeps the walks short."""
+    return build_theory(n, variance, 2, ("a", "b") if n < 3 else ("a",), _labels, lambda *site: SKIP)
+
+
+@pytest.mark.parametrize("variance", [SYMMETRIC, PLANAR])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_boundary_assignments(k, variance):
+    T = _walk_theory(max(k - 1, 1), variance)
+    walked = 0
+    for a in enumerate_arities(k, 2, variance):
+        lay = layout(a)
+        for top in (None, *range(k)):
+            got = list(boundary_assignments(T, lay, top))
+            assert got == list(oracles.boundary_assignments(T, lay, top))
+            walked += len(got)
+    assert walked
+
+
+@pytest.mark.parametrize("variance", [SYMMETRIC, PLANAR])
+def test_top_level_steps_are_the_chain_then_the_target(variance):
+    # composition_sites keys a site's chain and target off these steps
+    for k in (2, 3, 4):
+        for a in enumerate_arities(k, 2, variance):
+            lay = layout(a)
+            assert [s[0] for s in lay.steps if s[1] == k - 1] == [*lay.chain_addrs, lay.target_addr]
+
+
+def _parsed(name):
+    return cli.parse(test_golden.CASES[name]())
+
+
+VALIDATED = {
+    "terminal:2": lambda: terminal_theory(2),
+    "theta:discrete": lambda: theta(discrete_category(2)),
+    "theta:theta:monoidal": lambda: theta(theta(disc_monoidal(3), 2), 2),
+    **{name: partial(_parsed, name) for name in test_golden.CASES if name.startswith("zoo:")},
+}
+FAULTS = ["violations:n0", "violations:n1", "violations:n1:tables"]
+
+
+def _validation_lines(name):
+    if name in VALIDATED:
+        return "\n".join(validate_theory(VALIDATED[name]()).lines())
+    return test_golden.CASES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED) + FAULTS)
+def test_associativity_plans(name, monkeypatch):
+    got = _validation_lines(name)
+    monkeypatch.setattr(theory, "_check_associativity", oracles.check_associativity)
+    assert _validation_lines(name) == got
+    if name == "violations:n1":
+        assert "associativity at" in got
+
+
+def _serialized(name, monkeypatch):
+    """Every presentation a golden case serializes, checked byte for
+    byte against the tree serializer; returns the texts."""
+    texts = []
+
+    def checked(P):
+        text = cli.serialize(P)
+        assert text == oracles.serialize(P)
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(test_golden, "serialize", checked)
+    test_golden.CASES[name]()
+    return texts
+
+
+# the golden cases that write presentations (the others pin text lines)
+WRITTEN = [name for name in sorted(test_golden.CASES) if not name.startswith(("morphism", "violations"))]
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_codec(name, monkeypatch):
+    texts = _serialized(name, monkeypatch)
+    assert texts
+    parsed = [cli.parse(text) for text in texts]
+    monkeypatch.setattr(cli, "_dec", oracles.dec)
+    assert [cli.parse(text) for text in texts] == parsed
+    assert [cli.serialize(P) for P in parsed] == texts
+
+
+def _reversed(table):
+    return {k: _reversed(v) if isinstance(v, dict) else v for k, v in reversed(table.items())}
+
+
+def test_codec_sorts_entries():
+    # built tables already come in the order of their key texts; a
+    # reversed copy must still write the same bytes
+    T = cli.parse(test_golden.CASES["zoo:assoc"]())
+    R = replace(
+        T,
+        strata={d: _reversed(t) for d, t in T.strata.items()},
+        top_mul=_reversed(T.top_mul),
+        composition=_reversed(T.composition),
+    )
+    assert list(R.composition) != list(T.composition)
+    assert cli.serialize(R) == oracles.serialize(R) == cli.serialize(T)
+
+
+@pytest.mark.parametrize("value", [0.5, {"a": 1}, [1, [2.5]], ["x", [{"a": 1}]], [[True, None], "•"]])
+def test_decoder(value):
+    try:
+        expected = oracles.dec(value)
+    except cli.FormatError:
+        with pytest.raises(cli.FormatError):
+            cli._dec(value)
+    else:
+        assert cli._dec(value) == expected
