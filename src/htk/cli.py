@@ -47,6 +47,7 @@ from .theory import (
     TheoryPresentation,
     endo_planar,
     enumerate_morphisms,
+    gc_paused,
     validate_theory,
 )
 from .zoo import (
@@ -187,6 +188,7 @@ def serialize(P):
     return _theory_text(P) + "\n"
 
 
+@gc_paused
 def parse(text):
     try:
         obj = json.loads(text)
@@ -208,7 +210,7 @@ def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(str(e)) from None
 
 
@@ -489,7 +491,17 @@ def main(argv=None):
         except argparse.ArgumentTypeError as e:
             parser.error(f"HTK_BOUND: {e}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``htk fmt F | head -c 0``); point
+        # stdout at devnull so the flush at exit cannot raise again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return 1
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

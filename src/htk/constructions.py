@@ -22,6 +22,7 @@ presentations; the two sides are computed by disjoint routes (level
 flattening versus hom-sets of a one-object category).
 """
 
+from collections import namedtuple
 from dataclasses import replace
 from functools import reduce
 
@@ -43,6 +44,7 @@ from .theory import (
     arity_pool,
     build_theory,
     composition_sites,
+    gc_paused,
     lower_key,
     site_inputs,
     stratum_sites,
@@ -168,6 +170,7 @@ def _composes(T, P, lay, asg):
     return entry is not None and entry.get(tuple(ins)) == out
 
 
+@gc_paused
 def theta(C, bound=None, extra=None):
     """The one-higher presentation corepresented by C.
 
@@ -262,7 +265,7 @@ def _flattened(a):
     return Arity(a.k - 1, a.top, (flatten(a.levels[1], a.levels[0]),) + a.levels[2:])
 
 
-def _fl_transport(a):
+def _fl_tau(a):
     """(flattened arity key, flattened layout, address map) pairing the
     flattened layout's boundary with the one-level-up addresses of the
     original layout."""
@@ -295,6 +298,26 @@ def _fl_transport(a):
     return canonical_key(fla), layf, tau
 
 
+#: a flattened layout's key addresses already mapped to the original
+#: layout's; :func:`whole_key` and :func:`lower_key` read it like a layout
+_KeyAddrs = namedtuple("_KeyAddrs", "arity colour_addrs lower_addrs chain_addrs target_addr")
+
+
+def _fl_transport(a):
+    """(flattened arity key, key addresses): the flattened layout's key
+    addresses mapped once through :func:`_fl_tau`, so that keys read an
+    assignment on the original layout directly."""
+    akf, layf, tau = _fl_tau(a)
+    at = tau.__getitem__
+    return akf, _KeyAddrs(
+        layf.arity,
+        tuple(map(at, layf.colour_addrs)),
+        tuple([tuple(map(at, g)) for g in layf.lower_addrs]),
+        tuple(map(at, layf.chain_addrs)),
+        tau[layf.target_addr] if layf.arity.k > 1 else None,
+    )
+
+
 def deloop_support(n, bound):
     """The arity pool at which a dimension-n source must be tabulated so
     it can be delooped at the given bound.
@@ -322,6 +345,7 @@ def deloop_support(n, bound):
     return {k: tuple(sorted(v, key=canonical_key)) for k, v in pool.items()}
 
 
+@gc_paused
 def deloop(V, base="*", bound=None):
     """The one-higher presentation reading V's tables through flattening.
 
@@ -345,16 +369,16 @@ def deloop(V, base="*", bound=None):
         pool = enumerate_arities(d, bound, SYMMETRIC)
         flat = {canonical_key(A): _fl_transport(A) for A in pool}
         for _, _, ak, asg, key in stratum_sites(U, d, pool):
-            akf, layf, tau = flat[ak]
-            vkey = (akf, whole_key(layf, lambda ad: asg[tau[ad]]))
+            akf, addrs = flat[ak]
+            vkey = (akf, whole_key(addrs, asg.__getitem__))
             if vkey not in vtab:
                 raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
             table[(ak, key)] = vtab[vkey]
     pool = enumerate_arities(n2 + 1, bound, SYMMETRIC)
     flat = {canonical_key(A): _fl_transport(A) for A in pool}
     for A, _, ak, asg, lk, _ in composition_sites(U, pool):
-        akf, layf, tau = flat[ak]
-        vkey = (akf, lower_key(layf, lambda ad: asg[tau[ad]]))
+        akf, addrs = flat[ak]
+        vkey = (akf, lower_key(addrs, asg.__getitem__))
         ventry = V.composition.get(vkey)
         if ventry is None:
             if A.top == 0:

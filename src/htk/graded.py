@@ -54,6 +54,7 @@ from .theory import (
     build_theory,
     composition_sites,
     enumerate_morphisms,
+    gc_paused,
     lower_key,
     map_assignment,
     site_inputs,
@@ -660,6 +661,7 @@ def _pr_compat(V, X, ar, lay, asg):
 # convolution
 
 
+@gc_paused
 def convolve(X, Y, bound=None):
     """Combine two gradings over a common base into a grading over the
     corepresented pair base of the terminal grading on X's objects.

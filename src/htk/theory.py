@@ -15,9 +15,10 @@ order, so keys built for a stored arity and keys recovered from an atom
 inside a bigger arity agree positionally.
 """
 
+import gc
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from operator import itemgetter
 
@@ -41,6 +42,30 @@ POINT = "•"
 
 #: what a composition rule returns for an input it leaves undeclared
 SKIP = object()
+
+
+def gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused.
+
+    Tables are acyclic trees of tuples, dicts, strings and ints, so a
+    collection can free nothing they hold; during a bulk build or
+    decode it only walks a live heap that keeps growing.  The caller's
+    collector state is restored on return and on exception, and a
+    caller that had it off keeps it off.  Only for eager functions: a
+    generator's body runs after the call has returned.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)
@@ -237,6 +262,7 @@ def arity_pool(d, bound, variance, extra=None):
     return pool
 
 
+@gc_paused
 def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_depth=None, extra=None):
     """Construct a presentation by enumerating every bounded key.
 

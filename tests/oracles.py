@@ -9,7 +9,9 @@ Differential tests compare the library against these:
 * ``serialize``: the tree serializer, which builds the file's object
   and hands it to ``json.dumps`` (each key is encoded twice: once to
   sort, once to write);
-* ``dec``: the recursive decoder of JSON values.
+* ``dec``: the recursive decoder of JSON values;
+* ``deloop``: keys V's tables through one lambda call per flattened
+  address instead of reading key addresses mapped once per arity.
 """
 
 import json
@@ -17,8 +19,20 @@ from itertools import product
 
 from htk.arity import canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
 from htk.cli import FORMAT, FormatError
+from htk.constructions import _fl_tau
 from htk.graded import GradedTheoryPresentation
-from htk.theory import Violation, _site_eval, _site_template, atom_key
+from htk.ordcomb import SYMMETRIC
+from htk.theory import (
+    Violation,
+    _coloured,
+    _site_eval,
+    _site_template,
+    atom_key,
+    composition_sites,
+    lower_key,
+    stratum_sites,
+    whole_key,
+)
 
 # ---------------------------------------------------------------------------
 # layout walks
@@ -125,6 +139,45 @@ def check_associativity(T, bound, viol, warn, sample=1):
                 viol.append(Violation("associativity", ak, wit, rhs, state[final]))
     if skipped_units:
         warn.append("associativity instances needing undeclared units were skipped")
+
+
+# ---------------------------------------------------------------------------
+# delooping
+
+
+def deloop(V, base="*", bound=None):
+    """A drop-in for ``constructions.deloop``."""
+    if V.variance != SYMMETRIC:
+        raise ValueError("delooping needs the symmetric variance")
+    if bound is None:
+        bound = V.arity_bound
+    n2 = V.n + 1
+    U = _coloured(n2, SYMMETRIC, V.colour_depth, bound, (base,))
+    obs = tuple(V.label_set(0))
+    for _, _, ak, _, key in stratum_sites(U, 1, enumerate_arities(1, bound, SYMMETRIC)):
+        U.table(1)[(ak, key)] = obs
+    for d in range(2, n2 + 1):
+        table, vtab = U.table(d), V.table(d - 1)
+        pool = enumerate_arities(d, bound, SYMMETRIC)
+        flat = {canonical_key(A): _fl_tau(A) for A in pool}
+        for _, _, ak, asg, key in stratum_sites(U, d, pool):
+            akf, layf, tau = flat[ak]
+            vkey = (akf, whole_key(layf, lambda ad: asg[tau[ad]]))
+            if vkey not in vtab:
+                raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
+            table[(ak, key)] = vtab[vkey]
+    pool = enumerate_arities(n2 + 1, bound, SYMMETRIC)
+    flat = {canonical_key(A): _fl_tau(A) for A in pool}
+    for A, _, ak, asg, lk, _ in composition_sites(U, pool):
+        akf, layf, tau = flat[ak]
+        vkey = (akf, lower_key(layf, lambda ad: asg[tau[ad]]))
+        ventry = V.composition.get(vkey)
+        if ventry is None:
+            if A.top == 0:
+                continue
+            raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
+        U.composition[(ak, lk)] = dict(ventry)
+    return U
 
 
 # ---------------------------------------------------------------------------

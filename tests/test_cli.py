@@ -1,5 +1,6 @@
 """The command-line surface and the canonical file format."""
 
+import io
 import json
 import subprocess
 import sys
@@ -85,6 +86,19 @@ class TestExitCodes:
 
     def test_unknown_enum_target(self, capsys):
         assert run(["enum", "field-theories", "no-such-category"], capsys)[0] == 2
+
+    def test_broken_pipe_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # ``htk fmt F | head -c 0``: the reader is gone before the write
+        p = tmp_path / "t.json"
+        assert run(["build", "terminal:1", "-o", str(p)], capsys)[0] == 0
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["fmt", str(p)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/x.json"], capsys)[0] == 2

@@ -2,9 +2,10 @@
 
 The routes they replaced live in ``oracles``: the recursive boundary
 walk, associativity with its templates rebuilt on every call, the
-``json.dumps`` tree serializer and the recursive decoder.  Each must
-agree with the library: the same assignments in the same order, the
-same validation lines, the same bytes and equal parses.
+``json.dumps`` tree serializer, the recursive decoder and delooping
+through one lambda per flattened address.  Each must agree with the
+library: the same assignments in the same order, the same validation
+lines, the same bytes, equal parses and equal delooped tables.
 """
 
 from dataclasses import replace
@@ -16,10 +17,10 @@ import test_golden
 
 from htk import cli, theory
 from htk.arity import enumerate_arities, layout
-from htk.constructions import disc_monoidal, theta
+from htk.constructions import deloop, deloop_support, disc_monoidal, monoidal_as_dim0, theta
 from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import SKIP, boundary_assignments, build_theory, validate_theory
-from htk.zoo import discrete_category, terminal_theory
+from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
 
 
 def _labels(d, ar, lay, asg):
@@ -144,3 +145,26 @@ def test_decoder(value):
             cli._dec(value)
     else:
         assert cli._dec(value) == expected
+
+
+# sources of the deloop zoo, by the dimension their support is built for
+DELOOPED = {
+    "cyclic:2": (0, lambda sup: cyclic_monoid_theory(2, extra=sup)),
+    "disc-monoid:2": (0, lambda sup: monoidal_as_dim0(disc_monoidal(2), 2, extra=sup)),
+    "terminal:1": (1, lambda sup: terminal_theory(1, extra=sup)),
+    "init": (1, lambda sup: init_operad(extra=sup)),
+    "assoc": (1, lambda sup: assoc_operad(extra=sup)),
+    "discrete:2": (1, lambda sup: discrete_category(2, extra=sup)),
+    "theta:monoidal": (1, lambda sup: theta(disc_monoidal(2), 2, extra=sup)),
+    "terminal:2": (2, lambda sup: terminal_theory(2, extra=sup)),
+    "theta:discrete:2": (2, lambda sup: theta(discrete_category(2, extra=sup), 2, extra=sup)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELOOPED))
+def test_deloop_key_addresses(name):
+    n, make = DELOOPED[name]
+    V = make(deloop_support(n, 2))
+    got = deloop(V, "*", 2)
+    assert got == oracles.deloop(V, "*", 2)
+    assert got.composition
