@@ -70,6 +70,8 @@ class FormatError(Exception):
 
 
 _enc = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_scan = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
 _SCALARS = frozenset((str, int, bool, type(None)))
 
 
@@ -83,6 +85,77 @@ def _dec(x):
     raise FormatError(f"unsupported value {x!r}")
 
 
+def _value_at(s, i):
+    """The JSON value that starts at ``s[i]``, decoded, and the index
+    after it.  An object is walked here, member by member.  A list goes
+    to the scanner one element at a time, and each element becomes
+    tuples at once, so the list tree of a whole table never exists."""
+    c = s[i]
+    if c == "{":
+        return _members(s, i)
+    if c != "[":
+        value, i = _scan(s, i)
+        return _dec(value), i
+    items = []
+    i = _space(s, i + 1).end()
+    if s[i] == "]":
+        return (), i + 1
+    while True:
+        value, i = _scan(s, i)
+        items.append(_dec(value))
+        i = _space(s, i).end()
+        if s[i] == "]":
+            return tuple(items), i + 1
+        if s[i] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+        i = _space(s, i + 1).end()
+
+
+def _members(s, i):
+    """The members of the JSON object at ``s[i]`` and the index after
+    it; a later duplicate replaces an earlier one.  A member whose value
+    holds an unsupported value gets that ``FormatError`` as its value,
+    which fails wherever the member is read: a presentation reads only
+    the members of its kind, and those may come after the kind."""
+    members = {}
+    i = _space(s, i + 1).end()
+    if s[i] == "}":
+        return members, i + 1
+    while True:
+        if s[i] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, i)
+        name, i = _scan(s, i)
+        i = _space(s, i).end()
+        if s[i] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
+        start = _space(s, i + 1).end()
+        try:
+            members[name], i = _value_at(s, start)
+        except FormatError as e:
+            members[name], i = e, _scan(s, start)[1]
+        i = _space(s, i).end()
+        if s[i] == "}":
+            return members, i + 1
+        if s[i] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, i)
+        i = _space(s, i + 1).end()
+
+
+def _decode(text):
+    """The value of a JSON text, decoded by ``_value_at``."""
+    try:
+        value, i = _value_at(text, _space(text, 0).end())
+        if _space(text, i).end() != len(text):
+            raise json.JSONDecodeError("Extra data", text, i)
+    except ValueError as e:
+        raise FormatError(f"not valid JSON: {e}") from None
+    except (StopIteration, IndexError):
+        raise FormatError("not valid JSON: a value is missing or the text ends early") from None
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
+    return value
+
+
 def _table(d, value=_enc):
     """A table as the text of its entry list: each key and value encoded
     once, the entries in the order of their key texts."""
@@ -91,17 +164,20 @@ def _table(d, value=_enc):
 
 
 def _entries(entries):
-    """A table's entries, checked to be a list of [key, value] pairs."""
-    if type(entries) is not list:
+    """A table's decoded entries, checked to be a list of [key, value]
+    pairs."""
+    if isinstance(entries, FormatError):
+        raise entries
+    if type(entries) is not tuple:
         raise FormatError(f"a table must be a list of [key, value] entries, got {type(entries).__name__}")
     for e in entries:
-        if type(e) is not list or len(e) != 2:
+        if type(e) is not tuple or len(e) != 2:
             raise FormatError(f"a table entry must be a [key, value] pair, got {e!r}")
     return entries
 
 
 def _untable(entries):
-    return {_dec(k): _dec(v) for k, v in _entries(entries)}
+    return dict(_entries(entries))
 
 
 def _nested(d):
@@ -109,7 +185,7 @@ def _nested(d):
 
 
 def _unnested(entries):
-    return {_dec(k): _untable(v) for k, v in _entries(entries)}
+    return {k: _untable(v) for k, v in _entries(entries)}
 
 
 def _object(kind, strata, table, **texts):
@@ -190,11 +266,11 @@ def serialize(P):
 
 @gc_paused
 def parse(text):
-    try:
-        obj = json.loads(text)
-    except ValueError as e:
-        raise FormatError(f"not valid JSON: {e}") from None
-    if not isinstance(obj, dict) or obj.get("format") != FORMAT:
+    """The presentation a canonical file's text holds.  Any JSON text
+    with the same value parses to the same presentation: whitespace and
+    member order are free, and the last of duplicate members counts."""
+    obj = _decode(text)
+    if type(obj) is not dict or obj.get("format") != FORMAT:
         raise FormatError(f"missing format tag {FORMAT!r}")
     try:
         if obj.get("kind") == "graded":
@@ -217,8 +293,11 @@ def _load(path):
 def _emit(P, out):
     text = serialize(P)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise FormatError(str(e)) from None
     else:
         sys.stdout.write(text)
 
@@ -236,6 +315,25 @@ def _bound_arg(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"bound must be a non-negative integer, got {text!r}")
     return value
+
+
+def _json_arg(text):
+    """A JSON flag value, decoded as a file's table cells are."""
+    try:
+        value = _decode(text)
+    except FormatError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if type(value) is dict:
+        raise argparse.ArgumentTypeError(f"expected a JSON value without objects, got {text!r}")
+    return value
+
+
+def _colours_arg(text):
+    """A JSON list of [colour, [name, ...]] pairs, as a dict."""
+    pairs = _json_arg(text)
+    if type(pairs) is not tuple or any(type(p) is not tuple or len(p) != 2 or type(p[1]) is not tuple for p in pairs):
+        raise argparse.ArgumentTypeError(f"expected a list of [colour, [name, ...]] pairs, got {text!r}")
+    return dict(pairs)
 
 
 def build_named(name, bound, extra=None):
@@ -319,11 +417,9 @@ def cmd_apply(args):
     elif verb == "deloop":
         out = deloop(inputs[0], bound=bound)
     elif verb == "detheorize":
-        colours = dict(_dec(json.loads(args.colours))) if args.colours else None
-        out = detheorize_T(inputs[0], colours)
+        out = detheorize_T(inputs[0], args.colours)
     elif verb == "endo":
-        colour = json.loads(args.colour) if args.colour else None
-        out = endo_planar(inputs[0], _dec(colour))
+        out = endo_planar(inputs[0], args.colour)
     elif verb == "pullback":
         _, p = to_projection(inputs[0])
         out = pullback(p, inputs[1], bound)
@@ -454,8 +550,8 @@ def main(argv=None):
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
     p.add_argument("--bound", type=_bound_arg)
-    p.add_argument("--colours", help="JSON pair list for detheorize")
-    p.add_argument("--colour", help="JSON colour for endo")
+    p.add_argument("--colours", type=_colours_arg, help="JSON pair list for detheorize")
+    p.add_argument("--colour", type=_json_arg, help="JSON colour for endo")
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("enum", help="count functors, algebras or field theories")

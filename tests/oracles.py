@@ -10,6 +10,9 @@ Differential tests compare the library against these:
   and hands it to ``json.dumps`` (each key is encoded twice: once to
   sort, once to write);
 * ``dec``: the recursive decoder of JSON values;
+* ``parse``: ``json.loads`` of the whole text, then ``dec`` on each
+  table the presentation reads, so the list tree of the whole file
+  exists while its tuple copy is built;
 * ``deloop``: keys V's tables through one lambda call per flattened
   address instead of reading key addresses mapped once per arity.
 """
@@ -21,8 +24,9 @@ from htk.arity import canonical_key, concrete, decompose, enumerate_arities, lay
 from htk.cli import FORMAT, FormatError
 from htk.constructions import _fl_tau
 from htk.graded import GradedTheoryPresentation
-from htk.ordcomb import SYMMETRIC
+from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import (
+    TheoryPresentation,
     Violation,
     _coloured,
     _site_eval,
@@ -237,3 +241,74 @@ def dec(x):
     if isinstance(x, (str, int)) or x is None:
         return x
     raise FormatError(f"unsupported value {x!r}")
+
+
+def _entries(entries):
+    if type(entries) is not list:
+        raise FormatError(f"a table must be a list of [key, value] entries, got {type(entries).__name__}")
+    for e in entries:
+        if type(e) is not list or len(e) != 2:
+            raise FormatError(f"a table entry must be a [key, value] pair, got {e!r}")
+    return entries
+
+
+def _untable(entries):
+    return {dec(k): dec(v) for k, v in _entries(entries)}
+
+
+def _unnested(entries):
+    return {dec(k): _untable(v) for k, v in _entries(entries)}
+
+
+def _strata_entries(entries, dims):
+    got = [d for d, _ in _entries(entries)]
+    if any(type(d) is not int for d in got) or sorted(got) != list(dims):
+        raise FormatError(f"strata must hold each dimension of {list(dims)} once, got {got!r}")
+    return entries
+
+
+def _obj_to_theory(obj):
+    for name in ("dimension", "colour_depth", "arity_bound"):
+        if type(obj[name]) is not int or obj[name] < 0:
+            raise FormatError(f"{name} must be a non-negative integer, got {obj[name]!r}")
+    if obj["variance"] not in (SYMMETRIC, PLANAR):
+        raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
+    _strata_entries(obj["strata"], range(obj["dimension"]))
+    return TheoryPresentation(
+        obj["dimension"],
+        obj["variance"],
+        obj["colour_depth"],
+        obj["arity_bound"],
+        {d: _untable(entries) for d, entries in obj["strata"]},
+        _untable(obj["top_mul"]),
+        _unnested(obj["composition"]),
+    )
+
+
+def _obj_to_graded(obj):
+    base = _obj_to_theory(obj["base"])
+    return GradedTheoryPresentation(
+        base,
+        _untable(obj["objects"]),
+        {d: _unnested(entries) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
+        _unnested(obj["top_mul"]),
+        _unnested(obj["composition"]),
+    )
+
+
+def parse(text):
+    """A drop-in for ``cli.parse``."""
+    try:
+        obj = json.loads(text)
+    except ValueError as e:
+        raise FormatError(f"not valid JSON: {e}") from None
+    if not isinstance(obj, dict) or obj.get("format") != FORMAT:
+        raise FormatError(f"missing format tag {FORMAT!r}")
+    try:
+        if obj.get("kind") == "graded":
+            return _obj_to_graded(obj)
+        if obj.get("kind") == "theory":
+            return _obj_to_theory(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed presentation: {e}") from None
+    raise FormatError(f"unknown kind {obj.get('kind')!r}")

@@ -100,8 +100,43 @@ class TestExitCodes:
         assert main(["fmt", str(p)]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["lists", "objects"])
+    def test_deeply_nested_json_is_a_format_error(self, text, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        code, out, err = run(["fmt", str(p)], capsys)
+        assert code == 2 and out == "" and "nested too deeply" in err
+
     def test_missing_file(self, capsys):
         assert run(["validate", "/nonexistent/x.json"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [["fmt", "{src}"], ["build", "terminal:1"], ["apply", "theta", "{src}"]])
+    def test_unwritable_output_exits_two_without_traceback(self, argv, tmp_path, capsys):
+        src = tmp_path / "t.json"
+        assert run(["build", "terminal:1", "-o", str(src)], capsys)[0] == 0
+        out = tmp_path / "no-such-dir" / "x.json"
+        code, stdout, err = run([a.format(src=src) for a in argv] + ["-o", str(out)], capsys)
+        assert code == 2 and stdout == "" and "error:" in err and "no-such-dir" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "verb,flag,good,bad",
+        [
+            ("detheorize", "--colours", '[["*", ["a", "b"]]]', ["[1", "", "5", '{"*": ["a"]}', '[["*", "a"]]', '[["*", [0.5]]]']),
+            ("endo", "--colour", '"*"', ["[1", "", "1.5", '{"a": 1}', "[0.5]", '"*" 1']),
+        ],
+        ids=["colours", "colour"],
+    )
+    def test_malformed_json_flag_is_a_usage_error(self, verb, flag, good, bad, tmp_path, capsys):
+        src = tmp_path / "e1.json"
+        assert run(["build", "assoc", "-o", str(src)], capsys)[0] == 0
+        assert run(["apply", verb, str(src), flag, good], capsys)[0] == 0
+        for value in bad:
+            with pytest.raises(SystemExit) as e:
+                main(["apply", verb, str(src), flag, value])
+            out = capsys.readouterr()
+            assert e.value.code == 2 and out.out == ""
+            assert f"argument {flag}:" in out.err and "Traceback" not in out.err
 
     @pytest.mark.parametrize(
         "field,value",

@@ -2,14 +2,16 @@
 
 Byte flips and truncations of small golden files must either parse to a
 presentation that round-trips through ``serialize`` or raise
-``FormatError``, and ``htk fmt`` on them must exit 0 or 2 without an
-exception.  The example counts keep the suite's time nearly unchanged;
+``FormatError``, as the whole-tree route in ``oracles`` does, and
+``htk fmt`` on them must exit 0 or 2 without an exception.  The example counts keep the suite's time nearly unchanged;
 ``derandomize`` makes every run try the same inputs.
 """
 
 import gc
 from functools import lru_cache
 
+import oracles
+import pytest
 import test_golden
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,11 +52,14 @@ def mutated(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutated())
 def test_parse_rejects_or_round_trips(data):
+    text = data.decode("utf-8", "replace")
     try:
-        P = parse(data.decode("utf-8", "replace"))
+        P = parse(text)
     except FormatError:
-        pass
+        with pytest.raises(FormatError):
+            oracles.parse(text)
     else:
+        assert oracles.parse(text) == P
         text = serialize(P)
         assert parse(text) == P
         assert serialize(parse(text)) == text

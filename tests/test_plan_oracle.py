@@ -2,12 +2,15 @@
 
 The routes they replaced live in ``oracles``: the recursive boundary
 walk, associativity with its templates rebuilt on every call, the
-``json.dumps`` tree serializer, the recursive decoder and delooping
-through one lambda per flattened address.  Each must agree with the
-library: the same assignments in the same order, the same validation
-lines, the same bytes, equal parses and equal delooped tables.
+``json.dumps`` tree serializer, the whole-tree ``json.loads`` parser
+and delooping through one lambda per flattened address.  Each must
+agree with the library: the same assignments in the same order, the
+same validation lines, the same bytes, equal parses (or a
+``FormatError`` from both) and equal delooped tables.
 """
 
+import json
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache, partial
 
@@ -113,9 +116,83 @@ def test_codec(name, monkeypatch):
     texts = _serialized(name, monkeypatch)
     assert texts
     parsed = [cli.parse(text) for text in texts]
-    monkeypatch.setattr(cli, "_dec", oracles.dec)
-    assert [cli.parse(text) for text in texts] == parsed
+    assert parsed == [oracles.parse(text) for text in texts]
     assert [cli.serialize(P) for P in parsed] == texts
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except cli.FormatError:
+        return cli.FormatError
+
+
+def _edited(name, edit):
+    obj = json.loads(test_golden.CASES[name]())
+    edit(obj)
+    return json.dumps(obj)
+
+
+THEORY = test_golden.CASES["zoo:cyclic:3"]().strip()
+GRADED = test_golden.CASES["terminal_graded:cyclic"]().strip()
+# texts the canonical writer never produces: True if both routes must
+# accept them, False if both must raise FormatError
+HAND_MADE = {
+    "indented": (json.dumps(json.loads(THEORY), indent=2), True),
+    "spaced": (f" \r\n\t{json.dumps(json.loads(THEORY), separators=(' , ', ' : '))}\n\n", True),
+    "reordered": (json.dumps(dict(reversed(json.loads(THEORY).items()))), True),
+    "duplicate, last wins": ('{"top_mul":[[0.5,1]],"kind":"graded",' + THEORY[1:], True),
+    "duplicate, last bad": (THEORY[:-1] + ',"top_mul":[[0.5,1]]}', False),
+    "unread member": (THEORY[:-1] + ',"objects":[[{"a":1},0.5]],"zz":{"a":[1.5]}}', True),
+    "graded, base reordered": (
+        _edited("terminal_graded:cyclic", lambda obj: obj.update(base=dict(reversed(obj["base"].items())))),
+        True,
+    ),
+    "graded, indented": (json.dumps(json.loads(GRADED), indent=1), True),
+    "graded, base duplicate": ('{"base":{"dimension":0.5},' + GRADED[1:], True),
+    "graded, base bad": (GRADED.replace('"symmetric"}', '"symmetric","top_mul":[[1,2.5]]}', 1), False),
+    "escaped names": (THEORY.replace('"format"', '"\\u0066ormat"'), True),
+    "trailing data": (THEORY + "x", False),
+    "trailing object": (THEORY + "{}", False),
+    "truncated in composition": (THEORY[: THEORY.index('"composition"') + 40], False),
+    "truncated after the object": (THEORY[:-1], False),
+    "non-string member name": ("{1:2," + THEORY[1:], False),
+    "trailing comma": (THEORY[:-1] + ",}", False),
+    "missing colon": (THEORY.replace('"kind":', '"kind"', 1), False),
+    "top-level array": (f"[{THEORY}]", False),
+    "table as object": (_edited("zoo:cyclic:3", lambda obj: obj.update(top_mul={"xy": 1})), False),
+    "float in a key": (THEORY.replace('"composition":[[[', '"composition":[[[0.5,', 1), False),
+    "byte-order mark": ("\ufeff" + THEORY, False),
+    "empty": ("", False),
+    "empty object": ("{}", False),
+    "NaN label": (THEORY.replace("[0,1,2]]]", "[0,NaN,2]]]"), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_codec_agrees_on_hand_made_texts(name):
+    text, valid = HAND_MADE[name]
+    got = _outcome(cli.parse, text)
+    assert got == _outcome(oracles.parse, text)
+    assert (got is not cli.FormatError) == valid
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_stays_below_the_whole_tree_route():
+    # a 2.4 MB text: the whole-tree route holds the file's list tree and
+    # its tuple copy at once, the streaming route one entry's lists
+    sup = deloop_support(2, 2)
+    text = cli.serialize(theta(assoc_operad(bound=2, extra=sup), 2, extra=sup))
+    assert len(text) > 2_000_000
+    assert _peak_bytes(cli.parse, text) <= 0.6 * _peak_bytes(oracles.parse, text)
 
 
 def _reversed(table):
