@@ -18,51 +18,21 @@ import os
 import sys
 from operator import itemgetter
 
-from .bases import (
-    chain_category,
-    codiscrete_category,
-    cyclic_group_category,
-    discrete_finite_category,
-    field_theories,
-    unit_category,
-    walking_arrow,
-    walking_idempotent,
-    zc_build,
-)
-from .constructions import deloop, detheorize_T, disc_monoidal, monoidal_as_dim0, theta
-from .graded import (
-    GradedTheoryPresentation,
-    convolve,
-    enumerate_algebras,
-    product_graded,
-    pullback,
-    push_left,
-    push_right,
-    terminal_graded,
-    to_projection,
-    validate_graded,
-)
+# Only what ``parse`` and ``serialize`` need for a plain theory is
+# imported here; each command imports the modules its verb uses where it
+# uses them, so a cold ``htk`` process compiles no module it does not run.
 from .ordcomb import PLANAR, SYMMETRIC
-from .theory import (
-    TheoryPresentation,
-    endo_planar,
-    enumerate_morphisms,
-    gc_paused,
-    validate_theory,
-)
-from .zoo import (
-    assoc_operad,
-    cyclic_monoid_theory,
-    discrete_category,
-    init_operad,
-    terminal_theory,
-)
+from .theory import TheoryPresentation, endo_planar, enumerate_morphisms, gc_paused, validate_theory
 
 FORMAT = "htk-theory/1"
 
 
 class FormatError(Exception):
     """A file that does not parse as a canonical presentation."""
+
+
+class UsageError(Exception):
+    """A command line that names the wrong number of inputs."""
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +216,8 @@ def _graded_text(X):
 
 
 def obj_to_graded(obj):
+    from .graded import GradedTheoryPresentation
+
     base = obj_to_theory(obj["base"])
     return GradedTheoryPresentation(
         base,
@@ -259,9 +231,9 @@ def obj_to_graded(obj):
 def serialize(P):
     """The canonical text of a presentation; it equals ``json.dumps`` of
     the file's object with sorted keys and compact separators."""
-    if isinstance(P, GradedTheoryPresentation):
-        return _graded_text(P) + "\n"
-    return _theory_text(P) + "\n"
+    if isinstance(P, TheoryPresentation):
+        return _theory_text(P) + "\n"
+    return _graded_text(P) + "\n"
 
 
 @gc_paused
@@ -306,14 +278,14 @@ def _emit(P, out):
 # registries
 
 
-def _bound_arg(text):
-    """An arity bound: a non-negative int."""
+def _count_arg(text):
+    """An arity bound or a budget: a non-negative int."""
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"bound must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -339,6 +311,21 @@ def _colours_arg(text):
 def build_named(name, bound, extra=None):
     """A presentation from a ``family[:parameter]`` zoo name."""
     head, _, arg = name.partition(":")
+    if head == "terminal-graded":
+        from .graded import terminal_graded
+
+        return terminal_graded(build_named(arg, bound), bound=bound)
+    if head == "product-graded":
+        from .graded import product_graded
+
+        sub, _, k = arg.rpartition("*")
+        return product_graded(build_named(sub, bound), int(k or 2), bound=bound)
+    if head == "disc-monoid":
+        from .constructions import disc_monoidal, monoidal_as_dim0
+
+        return monoidal_as_dim0(disc_monoidal(int(arg or 2)), bound=bound, extra=extra)
+    from .zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
+
     if head == "terminal":
         return terminal_theory(int(arg or 1), bound=bound, extra=extra)
     if head == "cyclic":
@@ -349,32 +336,60 @@ def build_named(name, bound, extra=None):
         return init_operad(bound=bound, extra=extra)
     if head == "discrete":
         return discrete_category(int(arg or 2), bound=bound, extra=extra)
-    if head == "disc-monoid":
-        return monoidal_as_dim0(disc_monoidal(int(arg or 2)), bound=bound, extra=extra)
-    if head == "terminal-graded":
-        return terminal_graded(build_named(arg, bound), bound=bound)
-    if head == "product-graded":
-        sub, _, k = arg.rpartition("*")
-        return product_graded(build_named(sub, bound), int(k or 2), bound=bound)
     raise FormatError(f"unknown zoo name {name!r}")
 
 
-_CATEGORIES = {
-    "unit": lambda arg: unit_category(),
-    "discrete": lambda arg: discrete_finite_category(int(arg or 2)),
-    "codiscrete": lambda arg: codiscrete_category(int(arg or 2)),
-    "walking-arrow": lambda arg: walking_arrow(),
-    "walking-idempotent": lambda arg: walking_idempotent(),
-    "cyclic-group": lambda arg: cyclic_group_category(int(arg or 2)),
-    "chain": lambda arg: chain_category(int(arg or 2)),
-}
-
-
 def _category_named(name):
+    from . import bases
+
     head, _, arg = name.partition(":")
-    if head not in _CATEGORIES:
+    categories = {
+        "unit": bases.unit_category,
+        "discrete": lambda: bases.discrete_finite_category(int(arg or 2)),
+        "codiscrete": lambda: bases.codiscrete_category(int(arg or 2)),
+        "walking-arrow": bases.walking_arrow,
+        "walking-idempotent": bases.walking_idempotent,
+        "cyclic-group": lambda: bases.cyclic_group_category(int(arg or 2)),
+        "chain": lambda: bases.chain_category(int(arg or 2)),
+    }
+    if head not in categories:
         raise FormatError(f"unknown category name {name!r}")
-    return _CATEGORIES[head](arg)
+    return categories[head]()
+
+
+def _kind(P):
+    return "theory" if isinstance(P, TheoryPresentation) else "graded"
+
+
+def _expect_count(verb, given, n, noun):
+    if len(given) != n:
+        raise UsageError(f"{verb} takes {n} {noun}{'s' if n > 1 else ''}, got {len(given)}")
+
+
+def _load_inputs(verb, paths, kinds):
+    """The presentations in ``paths``, one file of each of ``kinds`` in
+    order, as ``verb`` takes them."""
+    _expect_count(verb, paths, len(kinds), "input file")
+    inputs = []
+    for path, kind in zip(paths, kinds):
+        P = _load(path)
+        if _kind(P) != kind:
+            raise FormatError(f"{verb} takes a {kind} file, but {path} holds a {_kind(P)} presentation")
+        inputs.append(P)
+    return inputs
+
+
+# the kinds of the files each ``apply`` verb reads, in order
+_APPLY_INPUTS = {
+    "theta": ("theory",),
+    "deloop": ("theory",),
+    "pullback": ("graded", "graded"),
+    "pushL": ("graded", "graded"),
+    "pushR": ("graded", "graded"),
+    "convolve": ("graded", "graded"),
+    "detheorize": ("theory",),
+    "endo": ("theory",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +399,12 @@ def _category_named(name):
 def cmd_validate(args):
     P = _load(args.path)
     bound = args.bound
-    if isinstance(P, GradedTheoryPresentation):
-        report = validate_graded(P, bound)
-    else:
+    if isinstance(P, TheoryPresentation):
         report = validate_theory(P, bound)
+    else:
+        from .graded import validate_graded
+
+        report = validate_graded(P, bound)
     for v in report.violations:
         print(f"{v.law} at {v.arity_key!r}: expected {v.expected!r}, got {v.actual!r}")
     for w in report.warnings:
@@ -401,7 +418,7 @@ def cmd_build(args):
     if args.deloop_ready:
         from .constructions import deloop_support
 
-        if isinstance(P, GradedTheoryPresentation):
+        if not isinstance(P, TheoryPresentation):
             raise FormatError("--deloop-ready applies to plain theories only")
         P = build_named(args.name, bound, deloop_support(P.n, bound))
     _emit(P, args.output)
@@ -411,49 +428,65 @@ def cmd_build(args):
 def cmd_apply(args):
     bound = args.bound
     verb = args.verb
-    inputs = [_load(p) for p in args.inputs]
+    inputs = _load_inputs(f"apply {verb}", args.inputs, _APPLY_INPUTS[verb])
     if verb == "theta":
+        from .constructions import theta
+
         out = theta(inputs[0], bound)
     elif verb == "deloop":
+        from .constructions import deloop
+
         out = deloop(inputs[0], bound=bound)
     elif verb == "detheorize":
+        from .constructions import detheorize_T
+
         out = detheorize_T(inputs[0], args.colours)
     elif verb == "endo":
         out = endo_planar(inputs[0], args.colour)
     elif verb == "pullback":
+        from .graded import pullback, to_projection
+
         _, p = to_projection(inputs[0])
         out = pullback(p, inputs[1], bound)
     elif verb == "pushL":
+        from .graded import push_left
+
         out = push_left(inputs[0], inputs[1])
     elif verb == "pushR":
+        from .graded import push_right
+
         out = push_right(inputs[0], inputs[1], bound)
-    elif verb == "convolve":
-        out = convolve(inputs[0], inputs[1], bound)
     else:
-        raise FormatError(f"unknown apply verb {verb!r}")
+        from .graded import convolve
+
+        out = convolve(inputs[0], inputs[1], bound)
     _emit(out, args.output)
     return 0
 
 
 def cmd_enum(args):
     bound = args.bound
-    if args.what == "functors":
-        S, T = _load(args.args[0]), _load(args.args[1])
-        n = len(enumerate_morphisms(S, T, bound, args.budget))
-    elif args.what == "algebras":
-        U, V = _load(args.args[0]), _load(args.args[1])
-        n = len(enumerate_algebras(U, V, budget=args.colour_budget, bound=bound))
-    elif args.what == "field-theories":
+    if args.what == "field-theories":
+        _expect_count("enum field-theories", args.args, 1, "category name")
+        from .bases import field_theories, zc_build
+
         C = _category_named(args.args[0])
         n = len(field_theories(zc_build(C), budget=args.budget))
+    elif args.what == "functors":
+        S, T = _load_inputs("enum functors", args.args, ("theory", "theory"))
+        n = len(enumerate_morphisms(S, T, bound, args.budget))
     else:
-        raise FormatError(f"unknown enumeration {args.what!r}")
+        from .graded import enumerate_algebras
+
+        U, V = _load_inputs("enum algebras", args.args, ("theory", "theory"))
+        n = len(enumerate_algebras(U, V, budget=args.colour_budget, bound=bound))
     print(n)
     return 0
 
 
 def _suite_roundtrip_grading(bound):
-    from .graded import from_projection, relabel_graded
+    from .graded import from_projection, product_graded, push_left, relabel_graded, terminal_graded, to_projection
+    from .zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad
 
     claims = []
     instances = [
@@ -477,6 +510,8 @@ def _suite_roundtrip_grading(bound):
 
 
 def _suite_theta_lax(bound):
+    from .constructions import disc_monoidal, monoidal_as_dim0, theta
+
     claims = []
     for k, m in ((2, 2), (2, 3)):
         homs = sum(1 for _ in _monoid_maps(k, m))
@@ -504,9 +539,6 @@ _SUITES = {
 
 
 def cmd_check(args):
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}")
-        return 2
     claims = _SUITES[args.suite](args.bound)
     failed = 0
     for name, ok in sorted(claims):
@@ -528,13 +560,13 @@ def main(argv=None):
 
     p = sub.add_parser("validate", help="validate a presentation file")
     p.add_argument("path")
-    p.add_argument("--bound", type=_bound_arg, help="arity bound to check at (default: the file's)")
+    p.add_argument("--bound", type=_count_arg, help="arity bound to check at (default: the file's)")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", help="write a zoo presentation")
     p.add_argument("name")
     p.add_argument("-o", "--output")
-    p.add_argument("--bound", type=_bound_arg)
+    p.add_argument("--bound", type=_count_arg)
     p.add_argument(
         "--deloop-ready",
         action="store_true",
@@ -543,13 +575,10 @@ def main(argv=None):
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("apply", help="apply a construction to files")
-    p.add_argument(
-        "verb",
-        choices=["theta", "deloop", "pullback", "pushL", "pushR", "convolve", "detheorize", "endo"],
-    )
+    p.add_argument("verb", choices=list(_APPLY_INPUTS))
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
-    p.add_argument("--bound", type=_bound_arg)
+    p.add_argument("--bound", type=_count_arg)
     p.add_argument("--colours", type=_colours_arg, help="JSON pair list for detheorize")
     p.add_argument("--colour", type=_json_arg, help="JSON colour for endo")
     p.set_defaults(fn=cmd_apply)
@@ -557,19 +586,19 @@ def main(argv=None):
     p = sub.add_parser("enum", help="count functors, algebras or field theories")
     p.add_argument("what", choices=["functors", "algebras", "field-theories"])
     p.add_argument("args", nargs="+")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=_count_arg, default=1_000_000)
     p.add_argument(
         "--colour-budget",
-        type=int,
+        type=_count_arg,
         default=2,
         help="colour refinement budget for the algebra enumeration",
     )
-    p.add_argument("--bound", type=_bound_arg)
+    p.add_argument("--bound", type=_count_arg)
     p.set_defaults(fn=cmd_enum)
 
     p = sub.add_parser("check", help="run a named verification suite")
-    p.add_argument("suite")
-    p.add_argument("--bound", type=_bound_arg)
+    p.add_argument("suite", choices=list(_SUITES))
+    p.add_argument("--bound", type=_count_arg)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("fmt", help="rewrite a file in canonical form")
@@ -583,7 +612,7 @@ def main(argv=None):
     env = os.environ.get("HTK_BOUND")
     if hasattr(args, "bound") and args.bound is None and (env or args.command != "validate"):
         try:
-            args.bound = _bound_arg(env or "2")
+            args.bound = _count_arg(env or "2")
         except argparse.ArgumentTypeError as e:
             parser.error(f"HTK_BOUND: {e}")
     try:
@@ -598,6 +627,8 @@ def main(argv=None):
         except (OSError, ValueError):
             pass
         return 1
+    except UsageError as e:
+        parser.error(str(e))
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

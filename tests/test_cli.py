@@ -321,7 +321,12 @@ class TestVerbs:
     def test_check_suites(self, capsys):
         code, out, _ = run(["check", "theta-lax-equivalence"], capsys)
         assert code == 0 and "2/2 claims pass" in out
-        assert run(["check", "no-such-suite"], capsys)[0] == 2
+        # an unknown suite is a usage error on stderr
+        with pytest.raises(SystemExit) as e:
+            main(["check", "no-such-suite"])
+        out = capsys.readouterr()
+        assert e.value.code == 2 and out.out == ""
+        assert "usage:" in out.err and "invalid choice: 'no-such-suite'" in out.err
 
     def test_module_entry_point(self, tmp_path):
         r = subprocess.run(
@@ -336,3 +341,134 @@ class TestCheckRoundtripSuite:
     def test_roundtrip_grading_passes(self, capsys):
         code, out, _ = run(["check", "roundtrip-grading"], capsys)
         assert code == 0 and "7/7 claims pass" in out
+
+
+@pytest.fixture
+def zoo_files(tmp_path, capsys):
+    """A plain theory ``z2.json`` and a graded ``V.json`` in ``tmp_path``."""
+    assert run(["build", "cyclic:2", "-o", str(tmp_path / "z2.json")], capsys)[0] == 0
+    assert run(["build", "terminal-graded:cyclic:2", "-o", str(tmp_path / "V.json")], capsys)[0] == 0
+    return tmp_path
+
+
+def in_dir(d, argv):
+    """``argv`` with each ``.json`` name made a path in ``d``."""
+    return [str(d / a) if a.endswith(".json") else a for a in argv]
+
+
+def usage_error(argv, capsys):
+    """The stderr of a command line that must be a usage error."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert e.value.code == 2 and out.out == ""
+    assert "usage:" in out.err and "Traceback" not in out.err
+    return out.err
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["apply", "pullback", "V.json"], "apply pullback takes 2 input files, got 1"),
+            (["apply", "pushL", "V.json"], "apply pushL takes 2 input files, got 1"),
+            (["apply", "pushR", "V.json"], "apply pushR takes 2 input files, got 1"),
+            (["apply", "convolve", "V.json"], "apply convolve takes 2 input files, got 1"),
+            (["apply", "theta", "z2.json", "V.json"], "apply theta takes 1 input file, got 2"),
+            (["apply", "pushL", "V.json", "V.json", "V.json"], "apply pushL takes 2 input files, got 3"),
+            (["enum", "functors", "z2.json"], "enum functors takes 2 input files, got 1"),
+            (["enum", "algebras", "z2.json"], "enum algebras takes 2 input files, got 1"),
+            (["enum", "field-theories", "unit", "codiscrete:2"], "enum field-theories takes 1 category name, got 2"),
+        ],
+        ids=["pullback", "pushL", "pushR", "convolve", "theta", "pushL-3", "functors", "algebras", "field-theories"],
+    )
+    def test_wrong_input_count_is_a_usage_error(self, argv, message, zoo_files, capsys):
+        assert message in usage_error(in_dir(zoo_files, argv), capsys)
+
+    @pytest.mark.parametrize(
+        "argv,kind",
+        [
+            (["apply", "theta", "V.json"], "theory"),
+            (["apply", "deloop", "V.json"], "theory"),
+            (["apply", "detheorize", "V.json"], "theory"),
+            (["apply", "endo", "V.json", "--colour", '"*"'], "theory"),
+            (["enum", "functors", "V.json", "V.json"], "theory"),
+            (["enum", "functors", "z2.json", "V.json"], "theory"),
+            (["enum", "algebras", "V.json", "V.json"], "theory"),
+            (["apply", "pullback", "z2.json", "z2.json"], "graded"),
+            (["apply", "pullback", "V.json", "z2.json"], "graded"),
+            (["apply", "pushL", "z2.json", "z2.json"], "graded"),
+            (["apply", "pushR", "z2.json", "z2.json"], "graded"),
+            (["apply", "convolve", "z2.json", "z2.json"], "graded"),
+        ],
+        ids=[
+            "theta",
+            "deloop",
+            "detheorize",
+            "endo",
+            "functors",
+            "functors-target",
+            "algebras",
+            "pullback",
+            "pullback-target",
+            "pushL",
+            "pushR",
+            "convolve",
+        ],
+    )
+    def test_input_of_the_wrong_kind_is_a_format_error(self, argv, kind, zoo_files, capsys):
+        code, out, err = run(in_dir(zoo_files, argv), capsys)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {argv[0]} {argv[1]} takes a {kind} file, but ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "functors", "z2.json", "z2.json", "--budget", "-1"],
+            ["enum", "algebras", "z2.json", "z2.json", "--colour-budget", "-1"],
+            ["enum", "field-theories", "unit", "--budget", "-5"],
+            ["enum", "functors", "z2.json", "z2.json", "--budget", "many"],
+        ],
+        ids=["budget", "colour-budget", "field-budget", "not-an-int"],
+    )
+    def test_bad_budget_is_a_usage_error(self, argv, zoo_files, capsys):
+        err = usage_error(in_dir(zoo_files, argv), capsys)
+        assert f"argument {argv[-2]}: must be a non-negative integer" in err
+
+    def test_zero_budget_is_accepted(self, zoo_files, capsys):
+        z2 = str(zoo_files / "z2.json")
+        code, _, err = run(["enum", "functors", z2, z2, "--budget", "0"], capsys)
+        assert code == 1 and "budget exceeded" in err
+
+
+def _htk_modules(code):
+    """The ``htk`` modules a fresh interpreter has loaded after ``code``."""
+    script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'htk'))"
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return set(r.stdout.splitlines()[-1].split())
+
+
+LEAN = {"htk", "htk.cli", "htk.theory", "htk.arity", "htk.ordcomb"}
+
+
+class TestLeanImport:
+    """A cold ``htk`` process compiles every module it imports, so the
+    command line imports only what each verb uses."""
+
+    def test_import_loads_only_the_codec(self):
+        assert _htk_modules("import htk.cli") == LEAN
+
+    @pytest.mark.parametrize(
+        "argv,extra",
+        [
+            (["build", "cyclic:2", "-o", "z2.json"], {"htk.zoo"}),
+            (["validate", "z2.json"], set()),
+            (["fmt", "z2.json"], set()),
+            (["apply", "theta", "z2.json", "-o", "th2.json"], {"htk.constructions"}),
+            (["enum", "functors", "z2.json", "z2.json"], set()),
+        ],
+        ids=["build", "validate", "fmt", "apply-theta", "enum-functors"],
+    )
+    def test_each_verb_loads_only_its_modules(self, argv, extra, zoo_files):
+        code = f"from htk.cli import main\nassert main({in_dir(zoo_files, argv)!r}) == 0"
+        assert _htk_modules(code) == LEAN | extra
