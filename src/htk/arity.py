@@ -388,7 +388,10 @@ class LeafSpec:
     ``colours`` lists addresses for the bottom-level positions (for a
     1-dimensional atom these are the inputs followed by the output);
     ``lower[nu-1]`` lists addresses of the level-nu atoms for
-    1 <= nu <= d-2; ``chain``/``target`` address the top pair.
+    1 <= nu <= d-2; ``chain``/``target`` address the top pair (for a
+    1-dimensional atom, the input and output colours).  The same shape
+    describes a whole layout (:attr:`Layout.spec`), so every boundary
+    key is read off one of these.
     """
 
     arity: Arity
@@ -405,7 +408,7 @@ def resolve_leaf(leaf, refs):
     ar = leaf_arity(leaf)
     if d == 1:
         cols = tuple(refs[t] for t in ctx.dom) + (refs[ctx.cod[0]],)
-        return LeafSpec(ar, cols, (), (), None)
+        return LeafSpec(ar, cols, (), cols[:-1], cols[-1])
     cols = tuple(refs[t] for entry in ctx.levels[0].entries for t in entry)
     lower = []
     for nu in range(1, d - 1):
@@ -508,6 +511,11 @@ class Layout:
     def lower_addrs(self):
         """The atom addresses of each level below the top pair's."""
         return tuple(tuple(at.address for at in self.atoms[nu]) for nu in range(1, self.arity.k - 1))
+
+    @cached_property
+    def spec(self):
+        """The whole arity's boundary addresses, shaped like an atom's."""
+        return LeafSpec(self.arity, self.colour_addrs, self.lower_addrs, self.chain_addrs, self.target_addr)
 
     @cached_property
     def steps(self):

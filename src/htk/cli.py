@@ -22,7 +22,7 @@ from operator import itemgetter
 # imported here; each command imports the modules its verb uses where it
 # uses them, so a cold ``htk`` process compiles no module it does not run.
 from .ordcomb import PLANAR, SYMMETRIC
-from .theory import TheoryPresentation, endo_planar, enumerate_morphisms, gc_paused, validate_theory
+from .theory import DIM0_KEY, TheoryPresentation, endo_planar, enumerate_morphisms, gc_paused, validate_theory
 
 FORMAT = "htk-theory/1"
 
@@ -150,6 +150,17 @@ def _untable(entries):
     return dict(_entries(entries))
 
 
+def _keyed(table, d):
+    """``table``, checked to be keyed by dimension-d arities: each key a
+    pair whose arity key starts ``k<d>|``; at dimension 0 the one key
+    ``["", []]``."""
+    want = f"k{d}|"
+    for key in table:
+        if key != DIM0_KEY if d == 0 else type(key) is not tuple or len(key) != 2 or not str(key[0]).startswith(want):
+            raise FormatError(f"a dimension-{d} table holds the key {key!r}")
+    return table
+
+
 def _nested(d):
     return _table(d, _table)
 
@@ -197,9 +208,9 @@ def obj_to_theory(obj):
         obj["variance"],
         obj["colour_depth"],
         obj["arity_bound"],
-        {d: _untable(entries) for d, entries in obj["strata"]},
-        _untable(obj["top_mul"]),
-        _unnested(obj["composition"]),
+        {d: _keyed(_untable(entries), d) for d, entries in obj["strata"]},
+        _keyed(_untable(obj["top_mul"]), obj["dimension"]),
+        _keyed(_unnested(obj["composition"]), obj["dimension"] + 1),
     )
 
 
@@ -222,9 +233,9 @@ def obj_to_graded(obj):
     return GradedTheoryPresentation(
         base,
         _untable(obj["objects"]),
-        {d: _unnested(entries) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
-        _unnested(obj["top_mul"]),
-        _unnested(obj["composition"]),
+        {d: _keyed(_unnested(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
+        _keyed(_unnested(obj["top_mul"]), base.n),
+        _keyed(_unnested(obj["composition"]), base.n + 1),
     )
 
 
@@ -308,6 +319,30 @@ def _colours_arg(text):
     return dict(pairs)
 
 
+def _param(name, arg, default=None, least=0):
+    """``arg``, the parameter of the family name ``name``, as an integer
+    of at least ``least``; ``default`` if empty (None: no parameter)."""
+    if not arg:
+        return default
+    if default is None:
+        raise FormatError(f"{name!r}: the family takes no parameter")
+    if not (arg.isascii() and arg.isdigit()) or int(arg) < least:
+        raise FormatError(f"{name!r}: the parameter must be an integer >= {least}, got {arg!r}")
+    return int(arg)
+
+
+def _named(families, kind, name, **kwargs):
+    """Build ``name`` from ``families``, which maps each family to its
+    constructor, its default parameter (None: it takes none) and the
+    least parameter it takes."""
+    head, _, arg = name.partition(":")
+    if head not in families:
+        raise FormatError(f"unknown {kind} name {name!r}")
+    make, default, least = families[head]
+    k = _param(name, arg, default, least)
+    return make(**kwargs) if k is None else make(k, **kwargs)
+
+
 def build_named(name, bound, extra=None):
     """A presentation from a ``family[:parameter]`` zoo name."""
     head, _, arg = name.partition(":")
@@ -318,43 +353,39 @@ def build_named(name, bound, extra=None):
     if head == "product-graded":
         from .graded import product_graded
 
-        sub, _, k = arg.rpartition("*")
-        return product_graded(build_named(sub, bound), int(k or 2), bound=bound)
+        sub, star, k = arg.rpartition("*")
+        sub, k = (sub, _param(name, k, 2, 1)) if star else (k, 2)
+        return product_graded(build_named(sub, bound), k, bound=bound)
     if head == "disc-monoid":
         from .constructions import disc_monoidal, monoidal_as_dim0
 
-        return monoidal_as_dim0(disc_monoidal(int(arg or 2)), bound=bound, extra=extra)
-    from .zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
+        return monoidal_as_dim0(disc_monoidal(_param(name, arg, 2, 1)), bound=bound, extra=extra)
+    from . import zoo
 
-    if head == "terminal":
-        return terminal_theory(int(arg or 1), bound=bound, extra=extra)
-    if head == "cyclic":
-        return cyclic_monoid_theory(int(arg or 2), bound=bound, extra=extra)
-    if head in ("assoc", "orders"):
-        return assoc_operad(bound=bound, extra=extra)
-    if head == "init":
-        return init_operad(bound=bound, extra=extra)
-    if head == "discrete":
-        return discrete_category(int(arg or 2), bound=bound, extra=extra)
-    raise FormatError(f"unknown zoo name {name!r}")
+    families = {
+        "terminal": (zoo.terminal_theory, 1, 0),
+        "cyclic": (zoo.cyclic_monoid_theory, 2, 1),
+        "assoc": (zoo.assoc_operad, None, 0),
+        "orders": (zoo.assoc_operad, None, 0),
+        "init": (zoo.init_operad, None, 0),
+        "discrete": (zoo.discrete_category, 2, 0),
+    }
+    return _named(families, "zoo", name, bound=bound, extra=extra)
 
 
 def _category_named(name):
     from . import bases
 
-    head, _, arg = name.partition(":")
-    categories = {
-        "unit": bases.unit_category,
-        "discrete": lambda: bases.discrete_finite_category(int(arg or 2)),
-        "codiscrete": lambda: bases.codiscrete_category(int(arg or 2)),
-        "walking-arrow": bases.walking_arrow,
-        "walking-idempotent": bases.walking_idempotent,
-        "cyclic-group": lambda: bases.cyclic_group_category(int(arg or 2)),
-        "chain": lambda: bases.chain_category(int(arg or 2)),
+    families = {
+        "unit": (bases.unit_category, None, 0),
+        "discrete": (bases.discrete_finite_category, 2, 0),
+        "codiscrete": (bases.codiscrete_category, 2, 0),
+        "walking-arrow": (bases.walking_arrow, None, 0),
+        "walking-idempotent": (bases.walking_idempotent, None, 0),
+        "cyclic-group": (bases.cyclic_group_category, 2, 1),
+        "chain": (bases.chain_category, 2, 0),
     }
-    if head not in categories:
-        raise FormatError(f"unknown category name {name!r}")
-    return categories[head]()
+    return _named(families, "category", name)
 
 
 def _kind(P):

@@ -22,12 +22,12 @@ presentations; the two sides are computed by disjoint routes (level
 flattening versus hom-sets of a one-object category).
 """
 
-from collections import namedtuple
 from dataclasses import replace
 from functools import reduce
 
 from .arity import (
     Arity,
+    LeafSpec,
     Level,
     canonical_key,
     enumerate_arities,
@@ -166,7 +166,7 @@ def _composes(T, P, lay, asg):
     (at n = 0 the chain and target are the colours)."""
     top = lay.chain_addrs + (lay.target_addr,) if T.n else [("c", i) for i in range(P.top + 1)]
     *ins, out = [asg[a] for a in top]
-    entry = T.composition.get((canonical_key(P), lower_key(lay, asg.__getitem__)))
+    entry = T.composition.get((canonical_key(P), lower_key(lay.spec, asg.__getitem__)))
     return entry is not None and entry.get(tuple(ins)) == out
 
 
@@ -298,23 +298,18 @@ def _fl_tau(a):
     return canonical_key(fla), layf, tau
 
 
-#: a flattened layout's key addresses already mapped to the original
-#: layout's; :func:`whole_key` and :func:`lower_key` read it like a layout
-_KeyAddrs = namedtuple("_KeyAddrs", "arity colour_addrs lower_addrs chain_addrs target_addr")
-
-
 def _fl_transport(a):
-    """(flattened arity key, key addresses): the flattened layout's key
+    """(flattened arity key, spec): the flattened layout's spec with its
     addresses mapped once through :func:`_fl_tau`, so that keys read an
     assignment on the original layout directly."""
     akf, layf, tau = _fl_tau(a)
-    at = tau.__getitem__
-    return akf, _KeyAddrs(
-        layf.arity,
-        tuple(map(at, layf.colour_addrs)),
-        tuple([tuple(map(at, g)) for g in layf.lower_addrs]),
-        tuple(map(at, layf.chain_addrs)),
-        tau[layf.target_addr] if layf.arity.k > 1 else None,
+    at, spec = tau.__getitem__, layf.spec
+    return akf, LeafSpec(
+        spec.arity,
+        tuple(map(at, spec.colours)),
+        tuple([tuple(map(at, g)) for g in spec.lower]),
+        tuple(map(at, spec.chain)),
+        tau.get(spec.target),
     )
 
 
@@ -369,16 +364,16 @@ def deloop(V, base="*", bound=None):
         pool = enumerate_arities(d, bound, SYMMETRIC)
         flat = {canonical_key(A): _fl_transport(A) for A in pool}
         for _, _, ak, asg, key in stratum_sites(U, d, pool):
-            akf, addrs = flat[ak]
-            vkey = (akf, whole_key(addrs, asg.__getitem__))
+            akf, spec = flat[ak]
+            vkey = (akf, whole_key(spec, asg.__getitem__))
             if vkey not in vtab:
                 raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
             table[(ak, key)] = vtab[vkey]
     pool = enumerate_arities(n2 + 1, bound, SYMMETRIC)
     flat = {canonical_key(A): _fl_transport(A) for A in pool}
     for A, _, ak, asg, lk, _ in composition_sites(U, pool):
-        akf, addrs = flat[ak]
-        vkey = (akf, lower_key(addrs, asg.__getitem__))
+        akf, spec = flat[ak]
+        vkey = (akf, lower_key(spec, asg.__getitem__))
         ventry = V.composition.get(vkey)
         if ventry is None:
             if A.top == 0:
@@ -454,12 +449,12 @@ def detheorize_T(U, colours=None):
     for d in range(1, U.n + 1):
         table, utab = T.table(d), U.table(d)
         for _, lay, ak, asg, key in stratum_sites(T, d, enumerate_arities(d, U.arity_bound, U.variance)):
-            ukey = (ak, whole_key(lay, proj(asg)))
+            ukey = (ak, whole_key(lay.spec, proj(asg)))
             if ukey not in utab:
                 raise KeyError(f"base table misses projected boundary {ukey}")
             table[(ak, key)] = utab[ukey]
     for _, lay, ak, asg, lk, _ in composition_sites(T, enumerate_arities(U.n + 1, U.arity_bound, U.variance)):
-        uentry = U.composition.get((ak, lower_key(lay, proj(asg))))
+        uentry = U.composition.get((ak, lower_key(lay.spec, proj(asg))))
         if uentry is not None:
             T.composition[(ak, lk)] = dict(uentry)
     return T

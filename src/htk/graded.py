@@ -44,19 +44,20 @@ from .theory import (
     DIM0_KEY,
     POINT,
     SKIP,
+    Slots,
     TheoryMorphism,
     TheoryPresentation,
     ValidationReport,
     Violation,
     _arity_of_key,
-    _assignment_of_key,
-    atom_key,
     build_theory,
     composition_sites,
     enumerate_morphisms,
     gc_paused,
+    key_assignment,
     lower_key,
     map_assignment,
+    map_key,
     site_inputs,
     stratum_sites,
     validate_morphism,
@@ -99,26 +100,9 @@ class GradedTheoryPresentation:
         return table.get((akey, tkey), {}).get(v, ())
 
 
-def _project_key(gkey):
+def _project_key(gkey, d):
     """The base boundary key under a graded one (first projection)."""
-    cols = tuple(e[0] for e in gkey[0])
-    if len(gkey) == 1:
-        return (cols,)
-    return (
-        cols,
-        tuple(tuple(e[0] for e in g) for g in gkey[1]),
-        tuple(e[0] for e in gkey[2]),
-        gkey[3][0],
-    )
-
-
-def _lower_assignment(lay, lk):
-    """Rebuild an address assignment from a composition lower key."""
-    asg = {("c", i): c for i, c in enumerate(lk[0])}
-    for nu, labs in enumerate(lk[1], start=1):
-        for at, lab in zip(lay.atoms[nu], labs):
-            asg[at.address] = lab
-    return asg
+    return map_key(lambda nu, pair: pair[0], gkey, d)
 
 
 def _pair_assignment(p, lay, asg):
@@ -157,7 +141,7 @@ def to_projection(X):
         for (ak, gkey), fib in src.items():
             labs = tuple(
                 (v, y)
-                for v in base.label_set(d, ak, _project_key(gkey))
+                for v in base.label_set(d, ak, _project_key(gkey, d))
                 for y in fib.get(v, ())
             )
             table[(ak, gkey)] = labs
@@ -197,10 +181,9 @@ def from_projection(Y, p):
         src = Y.table(d)
         for (ak, skey), labs in src.items():
             lay = layout(_arity_of_key(Y, d, ak))
-            asg = _assignment_of_key(lay, skey)
-            pasg = _pair_assignment(p, lay, asg)
-            gkey = whole_key(lay, pasg.__getitem__)
-            bkey = whole_key(lay, lambda ad: pasg[ad][0])
+            pasg = _pair_assignment(p, lay, key_assignment(lay.spec, skey))
+            gkey = whole_key(lay.spec, pasg.__getitem__)
+            bkey = whole_key(lay.spec, lambda ad: pasg[ad][0])
             table[(ak, gkey)] = {
                 v: tuple(y for y in labs if p.act(d, ak, skey, y) == v)
                 for v in base.label_set(d, ak, bkey)
@@ -208,20 +191,13 @@ def from_projection(Y, p):
     comp = {}
     for (ak, lk), entry in Y.composition.items():
         lay = layout(_arity_of_key(Y, n + 1, ak))
-        asg = _lower_assignment(lay, lk)
-        pasg = _pair_assignment(p, lay, asg)
-        glk = lower_key(lay, pasg.__getitem__)
-        chain_info = [
-            (canonical_key(lay.atom(ad).spec.arity), atom_key(lay.atom(ad).spec, asg.__getitem__))
-            for ad in lay.chain_addrs
-        ]
-        tat = lay.atom(lay.target_addr)
-        tak, ttk = canonical_key(tat.spec.arity), atom_key(tat.spec, asg.__getitem__)
-        gentry = {}
-        for ins, out in entry.items():
-            tins = tuple((p.act(n, cak, ck, y), y) for (cak, ck), y in zip(chain_info, ins))
-            gentry[tins] = (p.act(n, tak, ttk, out), out)
-        comp[(ak, glk)] = gentry
+        asg = key_assignment(lay.spec, lk)
+        glk = lower_key(lay.spec, _pair_assignment(p, lay, asg).__getitem__)
+        keys = Slots([s for s in lay.steps if s[1] == n], asg.__getitem__)()
+        comp[(ak, glk)] = {
+            tuple((p.act(*key, y), y) for key, y in zip(keys, ins)): (p.act(*keys[-1], out), out)
+            for ins, out in entry.items()
+        }
     return GradedTheoryPresentation(base, objects, strata, top, comp)
 
 
@@ -241,7 +217,7 @@ def validate_graded(X, bound=None):
         for d in range(1, base.n + 1):
             table = X.top_mul if d == base.n else X.strata.get(d, {})
             for (ak, gkey), fib in table.items():
-                degrees = base.label_set(d, ak, _project_key(gkey))
+                degrees = base.label_set(d, ak, _project_key(gkey, d))
                 for v in fib:
                     if v not in degrees:
                         viol.append(Violation("grading-typing", ak, (gkey, v), tuple(degrees), v))
@@ -291,29 +267,18 @@ def relabel_graded(X, obj_map, lab_map):
         u, x = pair
         return (u, obj_map(u, x)) if d == 0 else (u, lab_map(d, u, x))
 
-    def rkey(gkey, d):
-        cols = tuple(rp(0, c) for c in gkey[0])
-        if len(gkey) == 1:
-            return (cols,)
-        groups = tuple(tuple(rp(nu, e) for e in g) for nu, g in enumerate(gkey[1], start=1))
-        return (cols, groups, tuple(rp(d - 1, e) for e in gkey[2]), rp(d - 1, gkey[3]))
-
     def rfib(d, fib):
         return {v: tuple(lab_map(d, v, y) for y in ys) for v, ys in fib.items()}
 
     objects = {u: tuple(obj_map(u, x) for x in xs) for u, xs in X.objects.items()}
     strata = {
-        d: {(ak, rkey(gk, d)): rfib(d, fib) for (ak, gk), fib in table.items()}
+        d: {(ak, map_key(rp, gk, d)): rfib(d, fib) for (ak, gk), fib in table.items()}
         for d, table in X.strata.items()
     }
-    top = {(ak, rkey(gk, n)): rfib(n, fib) for (ak, gk), fib in X.top_mul.items()}
+    top = {(ak, map_key(rp, gk, n)): rfib(n, fib) for (ak, gk), fib in X.top_mul.items()}
     comp = {}
     for (ak, glk), entry in X.composition.items():
-        nk = (
-            tuple(rp(0, c) for c in glk[0]),
-            tuple(tuple(rp(nu, e) for e in g) for nu, g in enumerate(glk[1], start=1)),
-        )
-        comp[(ak, nk)] = {
+        comp[(ak, map_key(rp, glk, n + 1))] = {
             tuple(rp(n, e) for e in ins): rp(n, out) for ins, out in entry.items()
         }
     return GradedTheoryPresentation(base, objects, strata, top, comp)
@@ -332,8 +297,8 @@ def compose_morphisms(G, F):
         actions[d] = {}
         for (ak, skey), mp in F.actions.get(d, {}).items():
             lay = layout(_arity_of_key(F.source, d, ak))
-            asg = _assignment_of_key(lay, skey)
-            mkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
+            asg = key_assignment(lay.spec, skey)
+            mkey = whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
             actions[d][(ak, skey)] = {a: G.act(d, ak, mkey, b) for a, b in mp.items()}
     return TheoryMorphism(F.source, G.target, actions)
 
@@ -352,8 +317,8 @@ def morphism_from_maps(S, T, colour_map, label_map=None):
         actions[d] = {}
         for (ak, skey), labs in S.table(d).items():
             lay = layout(_arity_of_key(S, d, ak))
-            asg = _assignment_of_key(lay, skey)
-            tkey = whole_key(lay, map_assignment(F, lay, asg).__getitem__)
+            asg = key_assignment(lay.spec, skey)
+            tkey = whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
             actions[d][(ak, skey)] = {lab: label_map(d, ak, skey, tkey, lab) for lab in labs}
     return F
 
@@ -387,14 +352,14 @@ def _graded_pair_theory(base, objects, fibre_rule, comp_rule, bound=None):
     pairs = tuple((u, x) for u in base.label_set(0) for x in objects.get(u, ()))
 
     def lrule(d, ar, lay, asg):
-        bkey = whole_key(lay, lambda ad: asg[ad][0])
+        bkey = whole_key(lay.spec, lambda ad: asg[ad][0])
         out = []
         for v in base.label_set(d, canonical_key(ar), bkey):
             out.extend((v, y) for y in fibre_rule(d, ar, lay, asg, v))
         return tuple(out)
 
     def crule(P, lay, asg, inputs):
-        bentry = base.composition.get((canonical_key(P), lower_key(lay, lambda ad: asg[ad][0])))
+        bentry = base.composition.get((canonical_key(P), lower_key(lay.spec, lambda ad: asg[ad][0])))
         if bentry is None:
             return SKIP
         v = bentry[tuple(e[0] for e in inputs)]
@@ -421,7 +386,7 @@ def _graded_from_pairs(base, Y):
         for (ak, gkey), labs in src.items():
             table[(ak, gkey)] = {
                 v: tuple(y for v2, y in labs if v2 == v)
-                for v in base.label_set(d, ak, _project_key(gkey))
+                for v in base.label_set(d, ak, _project_key(gkey, d))
             }
     comp = {k: dict(v) for k, v in Y.composition.items()}
     return GradedTheoryPresentation(base, objects, strata, top, comp)
@@ -493,12 +458,12 @@ def pullback(F, X, bound=None):
 
     def frule(d, ar, lay, asg, v):
         tasg = translate(lay, asg)
-        w = F.act(d, canonical_key(ar), whole_key(lay, lambda ad: asg[ad][0]), v)
-        return X.fibre(d, canonical_key(ar), whole_key(lay, tasg.__getitem__), w)
+        w = F.act(d, canonical_key(ar), whole_key(lay.spec, lambda ad: asg[ad][0]), v)
+        return X.fibre(d, canonical_key(ar), whole_key(lay.spec, tasg.__getitem__), w)
 
     def crule(P, lay, asg, v, inputs):
         tasg = translate(lay, asg)
-        entry = X.composition.get((canonical_key(P), lower_key(lay, tasg.__getitem__)))
+        entry = X.composition.get((canonical_key(P), lower_key(lay.spec, tasg.__getitem__)))
         if entry is None:
             return SKIP
         out = entry.get(tuple(tasg[ad] for ad in lay.chain_addrs))
@@ -630,9 +595,9 @@ def _pr_compat(V, X, ar, lay, asg):
     chain_atoms = [lay.atom(ad) for ad in lay.chain_addrs]
     for Om in product(*[V.objects.get(u, ()) for u in us]):
         vasg = {("c", i): (us[i], Om[i]) for i in range(lay.colour_count)}
-        ventry = V.composition.get((ak2, lower_key(lay, vasg.__getitem__)))
+        ventry = V.composition.get((ak2, lower_key(lay.spec, vasg.__getitem__)))
         xasg = {("c", i): ((us[i], Om[i]), sigs[i][Om[i]]) for i in range(lay.colour_count)}
-        xentry = X.composition.get((ak2, lower_key(lay, xasg.__getitem__)))
+        xentry = X.composition.get((ak2, lower_key(lay.spec, xasg.__getitem__)))
         if ventry is None or xentry is None:
             return ()
         vins, xins = [], []
@@ -809,11 +774,11 @@ def _algebra_pair_2(alg, bound):
         lam_t, xi_t = asg[lay.target_addr]
         Y.top_mul[(ak, key)] = tuple(
             mu
-            for mu in W.label_set(2, ak, whole_key(lay, lambda ad: asg[ad][0]))
+            for mu in W.label_set(2, ak, whole_key(lay.spec, lambda ad: asg[ad][0]))
             if alg.action.get((ak, okey, lchain, lam_t, mu), {}).get(xins) == xi_t
         )
     for _, lay, ak, asg, lk, slots in composition_sites(Y, enumerate_arities(3, bound, W.variance)):
-        wentry = W.composition.get((ak, lower_key(lay, lambda ad: asg[ad][0])))
+        wentry = W.composition.get((ak, lower_key(lay.spec, lambda ad: asg[ad][0])))
         if wentry is not None:
             Y.composition[(ak, lk)] = {ins: wentry[ins] for ins in site_inputs(Y, slots)}
     actions = {
@@ -872,31 +837,20 @@ def enumerate_graded_presentations(U, objects, cap, bound=None):
         lay = layout(P)
         ak2 = canonical_key(P)
         for pcols in product(pairs, repeat=lay.colour_count):
-            asg = {("c", i): c for i, c in enumerate(pcols)}
             bentry = U.composition.get((ak2, (tuple(c[0] for c in pcols), ())))
-            if bentry is None:
-                continue
-            chain = [
-                (canonical_key(lay.atom(ad).spec.arity), atom_key(lay.atom(ad).spec, asg.__getitem__))
-                for ad in lay.chain_addrs
-            ]
-            tat = lay.atom(lay.target_addr)
-            comp_shapes.append((
-                (ak2, (pcols, ())),
-                chain,
-                (canonical_key(tat.spec.arity), atom_key(tat.spec, asg.__getitem__)),
-                bentry,
-            ))
+            if bentry is not None:
+                keys = Slots(lay.steps, dict(zip(lay.colour_addrs, pcols)).__getitem__)()
+                comp_shapes.append(((ak2, (pcols, ())), keys[:-1], keys[-1], bentry))
     for sizes in product(range(cap + 1), repeat=len(slots)):
         top = {key: {} for key in keyset}
         for (ak, gk, v), s in zip(slots, sizes):
             top[(ak, gk)][v] = tuple(f"m{i}" for i in range(s))
         entry_slots, comp_keys, dead = [], [], False
-        for key, chain, (tak, tgk), bentry in comp_shapes:
+        for key, chain, (_, tak, tgk), bentry in comp_shapes:
             comp_keys.append(key)
             csets = [
                 [(v, y) for v, ys in top.get((cak, cgk), {}).items() for y in ys]
-                for cak, cgk in chain
+                for _, cak, cgk in chain
             ]
             for ins in product(*csets):
                 vout = bentry[tuple(e[0] for e in ins)]
@@ -1024,7 +978,7 @@ def enumerate_algebra_presentations(W, objects, cap, bound=None):
                 wasg = {("c", i): pcols[i][0] for i in range(lay.colour_count)}
                 for (addr, _, _, _), lam in zip(infos, lams):
                     wasg[addr] = lam
-                wkey = whole_key(lay, wasg.__getitem__)
+                wkey = whole_key(lay.spec, wasg.__getitem__)
                 chainslots = [
                     (cak, pck, lam) for (_, cak, pck, _), lam in zip(infos[:-1], lams[:-1])
                 ]

@@ -9,10 +9,13 @@ Builders accept an ``extra`` arity pool for the few constructions whose
 lookups outrun the bound (delooping flattens two index levels into one,
 so its source must be tabulated at a handful of larger arities).
 
-Boundary typings are nested tuples produced by :func:`whole_key` /
-:func:`atom_key`; both walk a layout's addresses in the same canonical
-order, so keys built for a stored arity and keys recovered from an atom
-inside a bigger arity agree positionally.
+Boundary typings are nested tuples produced by :func:`whole_key` and
+:func:`lower_key` from a :class:`~htk.arity.LeafSpec`: an atom's, or a
+whole layout's (``Layout.spec``).  Both read the addresses in the same
+canonical order, so keys built for a stored arity and keys recovered
+from an atom inside a bigger arity agree positionally;
+:func:`key_assignment` reads a key back into an assignment and
+:func:`map_key` relabels one level by level.
 """
 
 import gc
@@ -111,8 +114,9 @@ def _coloured(n, variance, colour_depth, bound, colours):
 # boundary keys
 
 
-def atom_key(spec, val):
-    """The boundary key of an atom, reading labels through ``val``."""
+def whole_key(spec, val):
+    """The boundary key of an atom or a whole arity (``Layout.spec``),
+    reading labels through ``val``."""
     cols = tuple(map(val, spec.colours))
     if spec.arity.k == 1:
         return (cols,)
@@ -124,18 +128,34 @@ def atom_key(spec, val):
     )
 
 
-def whole_key(lay, val):
-    """The boundary key of a whole arity from an assignment on its layout."""
-    if lay.arity.k == 1:
-        return (tuple(map(val, lay.colour_addrs)),)
-    return lower_key(lay, val) + (tuple(map(val, lay.chain_addrs)), val(lay.target_addr))
-
-
-def lower_key(lay, val):
+def lower_key(spec, val):
     """The part of a composition arity's boundary below the top pair."""
-    if lay.arity.k == 1:
+    if spec.arity.k == 1:
         return ()
-    return (tuple(map(val, lay.colour_addrs)), tuple([tuple(map(val, g)) for g in lay.lower_addrs]))
+    return (tuple(map(val, spec.colours)), tuple([tuple(map(val, g)) for g in spec.lower]))
+
+
+def key_assignment(spec, key):
+    """The address assignment a whole or lower key of ``spec`` was read from."""
+    asg = dict(zip(spec.colours, key[0])) if key else {}
+    if len(key) > 1:
+        for addrs, labs in zip(spec.lower, key[1]):
+            asg.update(zip(addrs, labs))
+    if len(key) > 2:
+        asg.update(zip(spec.chain, key[2]))
+        asg[spec.target] = key[3]
+    return asg
+
+
+def map_key(f, key, d):
+    """A whole or lower key of a dimension-d arity with each label x at
+    level nu replaced by ``f(nu, x)``."""
+    out = (tuple([f(0, x) for x in key[0]]),) if key else ()
+    if len(key) > 1:
+        out += (tuple([tuple([f(nu, x) for x in g]) for nu, g in enumerate(key[1], start=1)]),)
+    if len(key) > 2:
+        out += (tuple([f(d - 1, x) for x in key[2]]), f(d - 1, key[3]))
+    return out
 
 
 def boundary_assignments(T, lay, top_level=None):
@@ -163,7 +183,7 @@ def _walk(T, cols, steps):
         get = asg.__getitem__
         _, look, ck, spec = plan[0]
         # stack[i] holds the untried labels of step i
-        stack = [iter(look((ck, atom_key(spec, get)), ()))]
+        stack = [iter(look((ck, whole_key(spec, get)), ()))]
         while stack:
             i = len(stack) - 1
             for lab in stack[i]:
@@ -172,7 +192,7 @@ def _walk(T, cols, steps):
                     yield dict(asg)
                     continue
                 _, look, ck, spec = plan[i + 1]
-                stack.append(iter(look((ck, atom_key(spec, get)), ())))
+                stack.append(iter(look((ck, whole_key(spec, get)), ())))
                 break
             else:
                 stack.pop()
@@ -189,7 +209,7 @@ def stratum_sites(T, d, pool):
         lay = layout(ar)
         ak = canonical_key(ar)
         for asg in boundary_assignments(T, lay):
-            yield ar, lay, ak, asg, whole_key(lay, asg.__getitem__)
+            yield ar, lay, ak, asg, whole_key(lay.spec, asg.__getitem__)
 
 
 def composition_sites(T, pool, within=None):
@@ -215,7 +235,7 @@ def composition_sites(T, pool, within=None):
         tops = lay.steps[len(below) :]  # the top level: chain atoms, then the target
         for asg in _walk(T, lay.colour_addrs, below):
             val = asg.__getitem__
-            lk = lower_key(lay, val)
+            lk = lower_key(lay.spec, val)
             if within is None or within.get((ak, lk)):
                 yield P, lay, ak, asg, lk, Slots(tops, val)
 
@@ -229,7 +249,7 @@ class Slots(namedtuple("Slots", "steps val")):
 
     def key(self, i):
         _, d, ck, spec = self.steps[i]
-        return (d, ck, atom_key(spec, self.val) if spec else ())
+        return (d, ck, whole_key(spec, self.val) if spec else ())
 
     def __call__(self):
         return tuple(map(self.key, range(len(self.steps))))
@@ -323,7 +343,7 @@ def compose(T, a, asg, inputs):
     if a.k != T.n + 1:
         raise ValueError("composition needs a one-higher arity")
     lay = layout(a)
-    key = (canonical_key(a), lower_key(lay, lambda ad: asg[ad]))
+    key = (canonical_key(a), lower_key(lay.spec, asg.__getitem__))
     entry = T.composition.get(key)
     if entry is None or tuple(inputs) not in entry:
         raise KeyError(f"no composition entry for {key}")
@@ -421,31 +441,14 @@ def _check_closure(T, bound, viol, warn):
         warn.append("no unit declared (nullary composition entries absent)")
 
 
-def _site_template(spec):
-    """Precomputed address structure of a composition instance."""
-    ak = canonical_key(spec.arity)
-    if spec.arity.k == 1:
-        return (ak, None, None, spec.colours[:-1], spec.colours[-1], spec.arity.top == 0)
-    return (ak, spec.colours, spec.lower, spec.chain, spec.target, spec.arity.top == 0)
-
-
-def _site_eval(tpl, state):
-    """(table key, input labels, output address) from a template."""
-    ak, cols, lows, chain, out_addr, _ = tpl
-    get = state.__getitem__
-    if cols is None:
-        return (ak, ()), tuple(map(get, chain)), out_addr
-    lk = (tuple(map(get, cols)), tuple([tuple(map(get, g)) for g in lows]))
-    return (ak, lk), tuple(map(get, chain)), out_addr
-
-
 @lru_cache(maxsize=None)
 def _assoc_plan(A, n):
     """Everything of the associativity instances over A but the labels:
     the free data (colour addresses and atom steps: the boundary below
     the top-adjacent level, then the atoms over that level's initial
-    bracket position, which come first in it), the templates of the
-    stages in order, the right-hand template and the final address."""
+    bracket position, which come first in it), the (arity key, spec) of
+    each stage in order and of the right-hand side, and the final
+    address."""
     lay = layout(A)
     C = lay.conc
     lv = C.levels[n]
@@ -456,13 +459,11 @@ def _assoc_plan(A, n):
         final = next(iter(final.values()))
         below = sum(1 for s in lay.steps if s[1] < n)
         free = (lay.colour_addrs, lay.steps[: below + sum(len(lay.refs[t]) for t in lv.entries[0])])
-    stages = tuple(
-        _site_template(resolve_leaf(leaf, lay.refs))
-        for j in range(1, len(lv.maps) + 1)
-        for leaf in decompose(slot_ctx(C.levels, n + 1, j - 1, j))
-    )
-    rhs = _site_template(resolve_leaf(decompose(slot_ctx(C.levels, n + 1, 0, len(lv.maps)))[0], lay.refs))
-    return free, stages, rhs, final
+    sites = [leaf for j in range(1, len(lv.maps) + 1) for leaf in decompose(slot_ctx(C.levels, n + 1, j - 1, j))]
+    sites.append(decompose(slot_ctx(C.levels, n + 1, 0, len(lv.maps)))[0])
+    specs = [resolve_leaf(leaf, lay.refs) for leaf in sites]
+    *stages, rhs = [(canonical_key(spec.arity), spec) for spec in specs]
+    return free, tuple(stages), rhs, final
 
 
 def _check_associativity(T, bound, viol, warn, sample=1):
@@ -475,18 +476,20 @@ def _check_associativity(T, bound, viol, warn, sample=1):
     n = T.n
     skipped_units = False
     for A in enumerate_arities(n + 2, bound, T.variance)[::sample]:
-        free, stages, rhs_tpl, final = _assoc_plan(A, n)
+        free, stages, rhs_site, final = _assoc_plan(A, n)
         ak = canonical_key(A)
         for init in _walk(T, *free):
             state = dict(init)
-            for tpl in stages:
-                key, ins, out_addr = _site_eval(tpl, state)
-                state[out_addr] = T.composition.get(key, {}).get(ins)
-                if state[out_addr] is None:
+            get = state.__getitem__
+            for sak, spec in stages:
+                key, ins = (sak, lower_key(spec, get)), tuple(map(get, spec.chain))
+                state[spec.target] = T.composition.get(key, {}).get(ins)
+                if state[spec.target] is None:
                     break
             else:
-                tpl = rhs_tpl
-                key, ins, _ = _site_eval(tpl, init)
+                # the right-hand side reads only the free addresses
+                sak, spec = rhs_site
+                key, ins = (sak, lower_key(spec, get)), tuple(map(get, spec.chain))
                 rhs = T.composition.get(key, {}).get(ins)
                 if rhs is not None:
                     if state[final] != rhs:
@@ -494,7 +497,7 @@ def _check_associativity(T, bound, viol, warn, sample=1):
                         viol.append(Violation("associativity", ak, wit, rhs, state[final]))
                     continue
             # the entry at (key, ins) is missing
-            if tpl[5] and key not in T.composition:
+            if spec.arity.top == 0 and key not in T.composition:
                 skipped_units = True
             else:
                 viol.append(Violation("missing-composition", key[0], (key[1], ins), "entry", "absent"))
@@ -595,7 +598,7 @@ def map_assignment(F, lay, asg):
             out[ad] = F.act(0, "", (), lab)
         else:
             spec = lay.atom(ad).spec
-            out[ad] = F.act(ad[1], canonical_key(spec.arity), atom_key(spec, asg.__getitem__), lab)
+            out[ad] = F.act(ad[1], canonical_key(spec.arity), whole_key(spec, asg.__getitem__), lab)
     return out
 
 
@@ -620,7 +623,7 @@ def validate_morphism(F, bound=None):
         return _report(viol, warn)
     for d in range(1, S.n + 1):
         for _, lay, ak, asg, skey in stratum_sites(S, d, enumerate_arities(d, bound, S.variance)):
-            tset = T.label_set(d, ak, whole_key(lay, map_assignment(F, lay, asg).__getitem__))
+            tset = T.label_set(d, ak, whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__))
             for lab in S.label_set(d, ak, skey):
                 img = F.actions.get(d, {}).get((ak, skey), {}).get(lab)
                 if img is None or img not in tset:
@@ -630,7 +633,7 @@ def validate_morphism(F, bound=None):
     pool = enumerate_arities(S.n + 1, bound, S.variance)
     for _, lay, ak, asg, lk, slots in composition_sites(S, pool, S.composition):
         keys = slots()
-        tentry = T.composition.get((ak, lower_key(lay, map_assignment(F, lay, asg).__getitem__)), {})
+        tentry = T.composition.get((ak, lower_key(lay.spec, map_assignment(F, lay, asg).__getitem__)), {})
         for inputs, out in S.composition[(ak, lk)].items():
             fout = F.act(*keys[-1], out)
             got = tentry.get(tuple(F.act(*key, lab) for key, lab in zip(keys, inputs)))
@@ -734,7 +737,7 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
         for key in sorted(table, key=repr):
             ak, skey = key
             lay = layout(_arity_of_key(S, d, ak))
-            tkey = _Template(whole_key(lay, map_assignment(vi, lay, _assignment_of_key(lay, skey)).__getitem__))
+            tkey = _Template(whole_key(lay.spec, map_assignment(vi, lay, key_assignment(lay.spec, skey)).__getitem__))
             for lab in table[key]:
                 vi.add(d, key, lab)
                 slots.append((d, ak, skey, lab, tkey, p and p.act(d, ak, skey, lab)))
@@ -747,7 +750,7 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     for _, lay, ak, asg, lk, site_keys in composition_sites(S, pool, S.composition):
         entry = S.composition[(ak, lk)]
         keys = site_keys()
-        ltpl = _Template(lower_key(lay, map_assignment(vi, lay, asg).__getitem__))
+        ltpl = _Template(lower_key(lay.spec, map_assignment(vi, lay, asg).__getitem__))
         lower = tuple(_flatten(ltpl.tpl))
         for inputs, out in entry.items():
             ins = tuple(vi.act(*key, lab) for key, lab in zip(keys, inputs))
@@ -826,21 +829,6 @@ def _arity_of_key(T, d, akey):
     return _arity_index(d, T.arity_bound, T.variance)[akey]
 
 
-def _assignment_of_key(lay, tkey):
-    """Rebuild an address assignment from a whole-arity boundary key."""
-    asg = {("c", i): c for i, c in enumerate(tkey[0])}
-    if lay.arity.k == 1:
-        return asg
-    _, lower, chain, target = tkey
-    for nu, labs in enumerate(lower, start=1):
-        for at, lab in zip(lay.atoms[nu], labs):
-            asg[at.address] = lab
-    for ad, lab in zip(lay.chain_addrs, chain):
-        asg[ad] = lab
-    asg[lay.target_addr] = target
-    return asg
-
-
 # ---------------------------------------------------------------------------
 # endomorphism theory
 
@@ -883,13 +871,13 @@ def endo_planar(T, x):
         for b, layb, bk, asg, key in stratum_sites(V, d, enumerate_arities(d, T.arity_bound, PLANAR)):
             laysa = layout(_suspend(b))
             tasg = _suspend_assignment(layb, laysa, asg, x)
-            tkey = whole_key(laysa, tasg.__getitem__)
+            tkey = whole_key(laysa.spec, tasg.__getitem__)
             table[(bk, key)] = T.label_set(d + 1, canonical_key(laysa.arity), tkey)
     for P, layb, bk, asg, lk, slots in composition_sites(V, enumerate_arities(n2 + 1, T.arity_bound, PLANAR)):
         laysa = layout(_suspend(P))
         if P.k > 1 and tuple(_shift_addr(a) for a in layb.chain_addrs) != laysa.chain_addrs:
             raise AssertionError("suspension chain order mismatch")
         tasg = _suspend_assignment(layb, laysa, asg, x)
-        tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa, tasg.__getitem__))]
+        tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa.spec, tasg.__getitem__))]
         V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots)}
     return V

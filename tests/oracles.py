@@ -1,11 +1,18 @@
-"""The plain routes that compiled plans and the one-pass codec replaced.
+"""The plain routes that compiled plans, the one-pass codec and the
+one key builder pair replaced.
 
 Differential tests compare the library against these:
 
+* ``atom_key``, ``whole_key`` and ``lower_key``: the key builders that
+  read an atom's spec and a layout's own address tuples separately,
+  where ``theory.whole_key``/``lower_key`` read one ``LeafSpec``;
+* ``project_key`` and ``relabel_key``: graded keys rewritten by hand,
+  where the library calls ``theory.map_key``;
 * ``boundary_assignments``: a recursive walk that keys every atom
   through ``canonical_key`` and ``atom_key`` afresh;
-* ``check_associativity``: builds its stage templates on every call
-  instead of reading them from ``theory._assoc_plan``;
+* ``check_associativity``: builds its stage templates
+  (``_site_template``, read by ``_site_eval``) on every call instead of
+  reading the stage specs from ``theory._assoc_plan``;
 * ``serialize``: the tree serializer, which builds the file's object
   and hands it to ``json.dumps`` (each key is encoded twice: once to
   sort, once to write);
@@ -25,18 +32,64 @@ from htk.cli import FORMAT, FormatError
 from htk.constructions import _fl_tau
 from htk.graded import GradedTheoryPresentation
 from htk.ordcomb import PLANAR, SYMMETRIC
-from htk.theory import (
-    TheoryPresentation,
-    Violation,
-    _coloured,
-    _site_eval,
-    _site_template,
-    atom_key,
-    composition_sites,
-    lower_key,
-    stratum_sites,
-    whole_key,
-)
+from htk.theory import TheoryPresentation, Violation, _coloured, composition_sites, stratum_sites
+
+# ---------------------------------------------------------------------------
+# boundary keys
+
+
+def atom_key(spec, val):
+    """The boundary key of an atom, reading labels through ``val``."""
+    cols = tuple(map(val, spec.colours))
+    if spec.arity.k == 1:
+        return (cols,)
+    return (
+        cols,
+        tuple([tuple(map(val, g)) for g in spec.lower]),
+        tuple(map(val, spec.chain)),
+        val(spec.target),
+    )
+
+
+def whole_key(lay, val):
+    """The boundary key of a whole arity from an assignment on its layout."""
+    if lay.arity.k == 1:
+        return (tuple(map(val, lay.colour_addrs)),)
+    return lower_key(lay, val) + (tuple(map(val, lay.chain_addrs)), val(lay.target_addr))
+
+
+def lower_key(lay, val):
+    """The part of a composition arity's boundary below the top pair."""
+    if lay.arity.k == 1:
+        return ()
+    return (tuple(map(val, lay.colour_addrs)), tuple([tuple(map(val, g)) for g in lay.lower_addrs]))
+
+
+def project_key(gkey):
+    """The base boundary key under a graded one (first projection)."""
+    cols = tuple(e[0] for e in gkey[0])
+    if len(gkey) == 1:
+        return (cols,)
+    return (
+        cols,
+        tuple(tuple(e[0] for e in g) for g in gkey[1]),
+        tuple(e[0] for e in gkey[2]),
+        gkey[3][0],
+    )
+
+
+def relabel_key(rp, gkey, d):
+    """``relabel_graded``'s rewrite of a graded whole key of a
+    dimension-d arity, or of a lower key (two parts), through
+    ``rp(level, pair)``."""
+    cols = tuple(rp(0, c) for c in gkey[0])
+    if len(gkey) == 1:
+        return (cols,)
+    groups = tuple(tuple(rp(nu, e) for e in g) for nu, g in enumerate(gkey[1], start=1))
+    if len(gkey) == 2:
+        return (cols, groups)
+    return (cols, groups, tuple(rp(d - 1, e) for e in gkey[2]), rp(d - 1, gkey[3]))
+
 
 # ---------------------------------------------------------------------------
 # layout walks
@@ -65,6 +118,24 @@ def boundary_assignments(T, lay, top_level=None):
 
 # ---------------------------------------------------------------------------
 # associativity
+
+
+def _site_template(spec):
+    """Precomputed address structure of a composition instance."""
+    ak = canonical_key(spec.arity)
+    if spec.arity.k == 1:
+        return (ak, None, None, spec.colours[:-1], spec.colours[-1], spec.arity.top == 0)
+    return (ak, spec.colours, spec.lower, spec.chain, spec.target, spec.arity.top == 0)
+
+
+def _site_eval(tpl, state):
+    """(table key, input labels, output address) from a template."""
+    ak, cols, lows, chain, out_addr, _ = tpl
+    get = state.__getitem__
+    if cols is None:
+        return (ak, ()), tuple(map(get, chain)), out_addr
+    lk = (tuple(map(get, cols)), tuple([tuple(map(get, g)) for g in lows]))
+    return (ak, lk), tuple(map(get, chain)), out_addr
 
 
 def _free_assignments(T, lay, C):
@@ -260,6 +331,17 @@ def _unnested(entries):
     return {dec(k): _untable(v) for k, v in _entries(entries)}
 
 
+def _keyed(table, d):
+    for key in table:
+        if d == 0:
+            ok = key == ("", ())
+        else:
+            ok = isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str) and key[0].startswith(f"k{d}|")
+        if not ok:
+            raise FormatError(f"a dimension-{d} table holds the key {key!r}")
+    return table
+
+
 def _strata_entries(entries, dims):
     got = [d for d, _ in _entries(entries)]
     if any(type(d) is not int for d in got) or sorted(got) != list(dims):
@@ -279,9 +361,9 @@ def _obj_to_theory(obj):
         obj["variance"],
         obj["colour_depth"],
         obj["arity_bound"],
-        {d: _untable(entries) for d, entries in obj["strata"]},
-        _untable(obj["top_mul"]),
-        _unnested(obj["composition"]),
+        {d: _keyed(_untable(entries), d) for d, entries in obj["strata"]},
+        _keyed(_untable(obj["top_mul"]), obj["dimension"]),
+        _keyed(_unnested(obj["composition"]), obj["dimension"] + 1),
     )
 
 
@@ -290,9 +372,9 @@ def _obj_to_graded(obj):
     return GradedTheoryPresentation(
         base,
         _untable(obj["objects"]),
-        {d: _unnested(entries) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
-        _unnested(obj["top_mul"]),
-        _unnested(obj["composition"]),
+        {d: _keyed(_unnested(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
+        _keyed(_unnested(obj["top_mul"]), base.n),
+        _keyed(_unnested(obj["composition"]), base.n + 1),
     )
 
 

@@ -211,6 +211,51 @@ class TestExitCodes:
             code, out, err = run([verb, str(p)], capsys)
             assert code == 2 and out == "" and "0.5" in err
 
+    @pytest.mark.parametrize(
+        "make,edit",
+        [
+            (assoc_operad, lambda obj: obj["composition"].append([["k9|bogus", [["*"], []]], []])),
+            (assoc_operad, lambda obj: obj["composition"].append([["k1|t0|", []], []])),
+            (assoc_operad, lambda obj: obj["top_mul"].append([["k2|t0|1/", [["*"], []]], []])),
+            (assoc_operad, lambda obj: obj["top_mul"].append(["k1|t1|", []])),
+            (assoc_operad, lambda obj: obj["strata"][0][1].append([["k1|t1|", [["*", "*"]]], []])),
+            (
+                lambda bound: terminal_graded(assoc_operad(bound=bound), bound=bound),
+                lambda obj: obj["top_mul"].append([["k2|t0|1/", [[["*", "*"]], []]], []]),
+            ),
+        ],
+        ids=["composition-k9", "composition-k1", "top-k2", "top-not-a-pair", "colours", "graded-top-k2"],
+    )
+    def test_key_of_another_dimension_is_a_format_error(self, make, edit, tmp_path, capsys):
+        obj = json.loads(serialize(make(bound=1)))
+        edit(obj)
+        p = tmp_path / "stray.json"
+        p.write_text(json.dumps(obj))
+        for argv in (["validate", str(p), "--bound", "1"], ["fmt", str(p)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and "error: a dimension-" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "assoc:7"],
+            ["build", "init:junk"],
+            ["build", "discrete:-1"],
+            ["build", "terminal:-2"],
+            ["build", "cyclic:x"],
+            ["build", "cyclic:0"],
+            ["build", "disc-monoid:0"],
+            ["build", "product-graded:assoc*x"],
+            ["enum", "field-theories", "unit:abc"],
+            ["enum", "field-theories", "walking-arrow:9"],
+            ["enum", "field-theories", "cyclic-group:0"],
+            ["enum", "field-theories", "chain:-1"],
+        ],
+    )
+    def test_bad_family_parameter_is_a_format_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and f"error: {argv[-1]!r}: " in err
+
     def test_construction_error_is_exit_one(self, tmp_path, capsys):
         p = tmp_path / "t.json"
         run(["build", "cyclic:2", "-o", str(p)], capsys)

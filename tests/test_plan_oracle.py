@@ -1,18 +1,21 @@
-"""Differential tests of the compiled site plans and the one-pass codec.
+"""Differential tests of the key builders, the compiled site plans and
+the one-pass codec.
 
-The routes they replaced live in ``oracles``: the recursive boundary
-walk, associativity with its templates rebuilt on every call, the
-``json.dumps`` tree serializer, the whole-tree ``json.loads`` parser
-and delooping through one lambda per flattened address.  Each must
-agree with the library: the same assignments in the same order, the
-same validation lines, the same bytes, equal parses (or a
-``FormatError`` from both) and equal delooped tables.
+The routes they replaced live in ``oracles``: the separate atom, layout
+and graded key builders, the recursive boundary walk, associativity
+with its templates rebuilt on every call, the ``json.dumps`` tree
+serializer, the whole-tree ``json.loads`` parser and delooping through
+one lambda per flattened address.  Each must agree with the library:
+the same keys, the same assignments in the same order, the same
+validation lines, the same bytes, equal parses (or a ``FormatError``
+from both) and equal delooped tables.
 """
 
 import json
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache, partial
+from itertools import chain
 
 import oracles
 import pytest
@@ -21,9 +24,87 @@ import test_golden
 from htk import cli, theory
 from htk.arity import enumerate_arities, layout
 from htk.constructions import deloop, deloop_support, disc_monoidal, monoidal_as_dim0, theta
+from htk.graded import product_graded, terminal_graded
 from htk.ordcomb import PLANAR, SYMMETRIC
-from htk.theory import SKIP, boundary_assignments, build_theory, validate_theory
+from htk.theory import (
+    SKIP,
+    boundary_assignments,
+    build_theory,
+    key_assignment,
+    lower_key,
+    map_key,
+    validate_theory,
+    whole_key,
+)
 from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
+
+
+def _address(ad):
+    """The identity on addresses: each key is its address tuple."""
+    return ad
+
+
+def _levelled(nu, x):
+    return (nu, x)
+
+
+def _reads(spec):
+    """The addresses a whole key of ``spec`` reads."""
+    if spec.arity.k == 1:
+        return list(spec.colours)
+    return [*spec.colours, *chain(*spec.lower), *spec.chain, spec.target]
+
+
+@pytest.mark.parametrize("variance", [SYMMETRIC, PLANAR])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_key_builders(k, variance):
+    atoms = 0
+    for a in enumerate_arities(k, 2, variance):
+        lay = layout(a)
+        whole, lower = whole_key(lay.spec, _address), lower_key(lay.spec, _address)
+        assert whole == oracles.whole_key(lay, _address)
+        assert lower == oracles.lower_key(lay, _address)
+        addrs = [*lay.colour_addrs, *(at.address for nu in sorted(lay.atoms) for at in lay.atoms[nu])]
+        assert key_assignment(lay.spec, whole) == {ad: ad for ad in addrs}
+        below = [ad for ad in addrs if ad[0] == "c" or ad[1] < k - 1] if k > 1 else []
+        assert key_assignment(lay.spec, lower) == {ad: ad for ad in below}
+        assert map_key(_levelled, whole, k) == oracles.relabel_key(_levelled, whole, k)
+        if lower:
+            assert map_key(_levelled, lower, k) == oracles.relabel_key(_levelled, lower, k)
+        for at in chain(*lay.atoms.values()):
+            key = whole_key(at.spec, _address)
+            assert key == oracles.atom_key(at.spec, _address)
+            assert key_assignment(at.spec, key) == {ad: ad for ad in _reads(at.spec)}
+            atoms += 1
+    assert atoms or k == 1
+
+
+def _parsed(name):
+    return cli.parse(test_golden.CASES[name]())
+
+
+# graded files over bases of dimensions 1 to 3
+GRADED_FILES = {
+    **{name: partial(_parsed, name) for name in ("terminal_graded:assoc", "product_graded:discrete", "convolve:cyclic")},
+    "product_graded:theta": lambda: product_graded(theta(discrete_category(2, bound=1), 1), 2, bound=1),
+    "terminal_graded:terminal:3": lambda: terminal_graded(terminal_theory(3, bound=1), bound=1),
+}
+
+
+def _relabelled(nu, pair):
+    return (pair[0], (nu, pair[1]))
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_FILES))
+def test_map_key_on_graded_keys(name):
+    X = GRADED_FILES[name]()
+    keys = [(d, gk) for d, table in [*X.strata.items(), (X.n, X.top_mul)] for _, gk in table]
+    keys += [(X.n + 1, glk) for _, glk in X.composition]
+    assert keys
+    for d, key in keys:
+        assert map_key(_relabelled, key, d) == oracles.relabel_key(_relabelled, key, d)
+        if len(key) != 2:
+            assert map_key(lambda nu, pair: pair[0], key, d) == oracles.project_key(key)
 
 
 def _labels(d, ar, lay, asg):
@@ -61,10 +142,6 @@ def test_top_level_steps_are_the_chain_then_the_target(variance):
         for a in enumerate_arities(k, 2, variance):
             lay = layout(a)
             assert [s[0] for s in lay.steps if s[1] == k - 1] == [*lay.chain_addrs, lay.target_addr]
-
-
-def _parsed(name):
-    return cli.parse(test_golden.CASES[name]())
 
 
 VALIDATED = {

@@ -56,8 +56,8 @@ from htk.theory import (
     DIM0_KEY,
     TheoryMorphism,
     _arity_of_key,
-    _assignment_of_key,
     enumerate_morphisms,
+    key_assignment,
     map_assignment,
     validate_morphism,
     whole_key,
@@ -82,7 +82,7 @@ def oracle_morphisms(S, T, bound=None):
         for key in sorted(table, key=repr):
             ak, skey = key
             lay = layout(_arity_of_key(S, d, ak))
-            asg = _assignment_of_key(lay, skey)
+            asg = key_assignment(lay.spec, skey)
             items.extend((ak, skey, lab, lay, asg) for lab in table[key])
 
         def rec_items(i):
@@ -90,7 +90,7 @@ def oracle_morphisms(S, T, bound=None):
                 rec_dims(d + 1, actions)
                 return
             ak, skey, lab, lay, asg = items[i]
-            tkey = whole_key(lay, map_assignment(TheoryMorphism(S, T, actions), lay, asg).__getitem__)
+            tkey = whole_key(lay.spec, map_assignment(TheoryMorphism(S, T, actions), lay, asg).__getitem__)
             for img in T.label_set(d, ak, tkey):
                 actions[d].setdefault((ak, skey), {})[lab] = img
                 rec_items(i + 1)

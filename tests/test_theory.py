@@ -7,19 +7,16 @@ import pytest
 from htk.arity import Arity, GeneralArity, Level, canonical_key, decompose_general, layout
 from htk.theory import (
     DIM0_KEY,
-    atom_key,
     boundary_assignments,
     compose,
     compose_general,
     endo_planar,
     enumerate_morphisms,
     identity_morphism,
-    lower_key,
     mul,
     mul_general,
     validate_morphism,
     validate_theory,
-    whole_key,
 )
 from htk.zoo import (
     assoc_operad,
