@@ -129,6 +129,33 @@ def canonical_key(a):
     return f"g{a.k}|{src}>{tgt}:{''.join(map(str, table))}|{lv}"
 
 
+@lru_cache(maxsize=None)
+def arity_of_key(key):
+    """The arity whose :func:`canonical_key` is ``key``.
+
+    The key writes each map table as its 1-based images run together, so
+    this inverse reads one digit per image: it covers every arity whose
+    maps point into index sets of fewer than 10 elements, which is every
+    1-arity and every arity within a bound of 9.  The top and the sizes
+    are read as decimals.  A text that does not read back to itself
+    raises ``ValueError``; so does the key of an arity with an image of
+    10 or more, whose run-together table reads back too long.
+    """
+    try:
+        head, top, body = key.split("|")
+        levels = []
+        for text in body.split(";") if body else ():
+            sizes, maps = text.split("/")
+            sizes = tuple(map(int, sizes.split(",")))
+            levels.append(Level(sizes, tuple(tuple(map(int, t)) for t in maps.split(":"))[: len(sizes) - 1]))
+        a = Arity(int(head[1:]), int(top[1:]), tuple(levels))
+    except (AttributeError, TypeError, ValueError):
+        a = None
+    if a is None or canonical_key(a) != key:
+        raise ValueError(f"not a canonical arity key: {key!r}")
+    return a
+
+
 def _enumerate_levels(spine, depth, bound, variance):
     """All towers of `depth` elemental levels below a spine of given size."""
     if depth == 0:
@@ -514,7 +541,11 @@ class Layout:
 
     @cached_property
     def spec(self):
-        """The whole arity's boundary addresses, shaped like an atom's."""
+        """The whole arity's boundary addresses, shaped like an atom's: at
+        k = 1 the chain is the input colours and the target the output
+        colour, as for a 1-dimensional atom."""
+        if self.arity.k == 1:
+            return LeafSpec(self.arity, self.colour_addrs, (), self.colour_addrs[:-1], self.colour_addrs[-1])
         return LeafSpec(self.arity, self.colour_addrs, self.lower_addrs, self.chain_addrs, self.target_addr)
 
     @cached_property

@@ -21,6 +21,7 @@ from operator import itemgetter
 # Only what ``parse`` and ``serialize`` need for a plain theory is
 # imported here; each command imports the modules its verb uses where it
 # uses them, so a cold ``htk`` process compiles no module it does not run.
+from .arity import arity_of_key
 from .ordcomb import PLANAR, SYMMETRIC
 from .theory import DIM0_KEY, TheoryPresentation, endo_planar, enumerate_morphisms, gc_paused, validate_theory
 
@@ -152,12 +153,25 @@ def _untable(entries):
 
 def _keyed(table, d):
     """``table``, checked to be keyed by dimension-d arities: each key a
-    pair whose arity key starts ``k<d>|``; at dimension 0 the one key
+    pair whose arity key is the canonical key of a dimension-d arity
+    (:func:`arity_of_key` reads it back); at dimension 0 the one key
     ``["", []]``."""
-    want = f"k{d}|"
     for key in table:
-        if key != DIM0_KEY if d == 0 else type(key) is not tuple or len(key) != 2 or not str(key[0]).startswith(want):
+        try:
+            ok = key == DIM0_KEY if d == 0 else type(key) is tuple and len(key) == 2 and arity_of_key(key[0]).k == d
+        except ValueError:
+            ok = False
+        if not ok:
             raise FormatError(f"a dimension-{d} table holds the key {key!r}")
+    return table
+
+
+def _listed(table):
+    """``table``, checked to map each key to a list: a label set or a
+    fibre."""
+    for key, value in table.items():
+        if type(value) is not tuple:
+            raise FormatError(f"the entry at {key!r} must be a list, got {value!r}")
     return table
 
 
@@ -167,6 +181,11 @@ def _nested(d):
 
 def _unnested(entries):
     return {k: _untable(v) for k, v in _entries(entries)}
+
+
+def _fibred(entries):
+    """A graded table: each value a table of fibres."""
+    return {k: _listed(_untable(v)) for k, v in _entries(entries)}
 
 
 def _object(kind, strata, table, **texts):
@@ -208,8 +227,8 @@ def obj_to_theory(obj):
         obj["variance"],
         obj["colour_depth"],
         obj["arity_bound"],
-        {d: _keyed(_untable(entries), d) for d, entries in obj["strata"]},
-        _keyed(_untable(obj["top_mul"]), obj["dimension"]),
+        {d: _keyed(_listed(_untable(entries)), d) for d, entries in obj["strata"]},
+        _keyed(_listed(_untable(obj["top_mul"])), obj["dimension"]),
         _keyed(_unnested(obj["composition"]), obj["dimension"] + 1),
     )
 
@@ -230,11 +249,14 @@ def obj_to_graded(obj):
     from .graded import GradedTheoryPresentation
 
     base = obj_to_theory(obj["base"])
+    objects = _listed(_untable(obj["objects"]))
+    if objects and base.n == 0:
+        raise FormatError("a graded file over a 0-dimensional base keeps its fibres in top_mul, so its objects must be empty")
     return GradedTheoryPresentation(
         base,
-        _untable(obj["objects"]),
-        {d: _keyed(_unnested(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
-        _keyed(_unnested(obj["top_mul"]), base.n),
+        objects,
+        {d: _keyed(_fibred(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
+        _keyed(_fibred(obj["top_mul"]), base.n),
         _keyed(_unnested(obj["composition"]), base.n + 1),
     )
 

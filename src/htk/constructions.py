@@ -164,10 +164,9 @@ def _theta_monoidal(M, bound, extra=None):
 def _composes(T, P, lay, asg):
     """Whether the chain of an assignment composes in T to its target
     (at n = 0 the chain and target are the colours)."""
-    top = lay.chain_addrs + (lay.target_addr,) if T.n else [("c", i) for i in range(P.top + 1)]
-    *ins, out = [asg[a] for a in top]
-    entry = T.composition.get((canonical_key(P), lower_key(lay.spec, asg.__getitem__)))
-    return entry is not None and entry.get(tuple(ins)) == out
+    spec = lay.spec
+    entry = T.composition.get((canonical_key(P), lower_key(spec, asg.__getitem__)))
+    return entry is not None and entry.get(tuple(map(asg.__getitem__, spec.chain))) == asg[spec.target]
 
 
 @gc_paused

@@ -10,6 +10,14 @@ the base; ``to_projection`` / ``from_projection`` convert between the
 two forms without enumeration, because the graded boundary keys are by
 construction exactly the pair theory's boundary keys.
 
+Dimension 0 is an ordinary dimension here, as in ``theory``: the fibres
+over base colours are the dimension-0 table, read through
+:meth:`GradedTheoryPresentation.table` and stored by :func:`_graded`,
+and every composition site is keyed through ``theory.site_slots``, so
+the same code serves a base of any dimension.  Only the storage differs:
+over a 0-dimensional base, dimension 0 is the top, and its fibres sit in
+``top_mul`` where the file format puts them.
+
 The functorial operations are ``pullback`` along a base morphism, the
 dependent sum ``push_left`` along a projection, and the dependent
 product ``push_right`` into the corepresented one-higher base.  The
@@ -44,12 +52,12 @@ from .theory import (
     DIM0_KEY,
     POINT,
     SKIP,
-    Slots,
     TheoryMorphism,
     TheoryPresentation,
     ValidationReport,
     Violation,
     _arity_of_key,
+    _coloured,
     build_theory,
     composition_sites,
     enumerate_morphisms,
@@ -59,6 +67,7 @@ from .theory import (
     map_assignment,
     map_key,
     site_inputs,
+    site_slots,
     stratum_sites,
     validate_morphism,
     validate_theory,
@@ -70,15 +79,18 @@ from .theory import (
 class GradedTheoryPresentation:
     """A set-valued refinement of a base presentation.
 
-    ``objects`` maps base colours to tuples (empty dict when the base is
-    0-dimensional); ``strata[d]`` and ``top_mul`` map ``(arity key,
-    graded boundary key)`` to dicts from base degrees to fibre tuples;
-    ``composition`` maps ``(arity key, graded lower key)`` to dicts from
-    input pair tuples to output pairs, each pair (degree, fibre
-    element).  Graded keys have the shape of the base's boundary keys
-    with every entry replaced by such a pair.  For a 0-dimensional base
-    the element fibres live in ``top_mul[DIM0_KEY]`` as a dict from base
-    elements to tuples.
+    ``objects`` maps base colours to tuples; ``strata[d]`` and
+    ``top_mul`` map ``(arity key, graded boundary key)`` to dicts from
+    base degrees to fibre tuples; ``composition`` maps ``(arity key,
+    graded lower key)`` to dicts from input pair tuples to output pairs,
+    each pair (degree, fibre element).  Graded keys have the shape of the
+    base's boundary keys with every entry replaced by such a pair.
+
+    Dimension 0 is the top when the base is 0-dimensional, so there the
+    fibres over base elements live in ``top_mul[DIM0_KEY]`` and
+    ``objects`` is empty.  Code reads the fibres of every dimension
+    through :meth:`table` and stores them through :func:`_graded`,
+    whatever the base's dimension.
     """
 
     base: TheoryPresentation
@@ -91,13 +103,28 @@ class GradedTheoryPresentation:
     def n(self):
         return self.base.n
 
+    def table(self, d):
+        """The fibre table of dimension d, keyed like the base's tables:
+        dimension 0 holds one entry, under ``DIM0_KEY``."""
+        if d == self.base.n:
+            return self.top_mul
+        return {DIM0_KEY: self.objects} if d == 0 else self.strata.get(d, {})
+
     def fibre(self, d, akey="", tkey=(), v=None):
-        if self.base.n == 0:
-            return self.top_mul[DIM0_KEY].get(v, ())
         if d == 0:
-            return self.objects.get(v, ())
-        table = self.top_mul if d == self.base.n else self.strata[d]
-        return table.get((akey, tkey), {}).get(v, ())
+            akey, tkey = DIM0_KEY
+        return self.table(d).get((akey, tkey), {}).get(v, ())
+
+
+def _graded(base, tables, composition):
+    """The graded presentation with fibre tables ``tables[d]`` for
+    0 <= d <= n, keyed as :meth:`GradedTheoryPresentation.table` reads
+    them.  The one place that decides where the dimension-0 fibres are
+    stored: in ``objects``, or in ``top_mul`` when dimension 0 is the
+    top."""
+    n = base.n
+    objects = tables[0][DIM0_KEY] if n else {}
+    return GradedTheoryPresentation(base, objects, {d: tables[d] for d in range(1, n)}, tables[n], composition)
 
 
 def _project_key(gkey, d):
@@ -123,31 +150,19 @@ def to_projection(X):
     """
     base = X.base
     n = base.n
-    if n == 0:
-        fib = X.top_mul[DIM0_KEY]
-        elems = tuple((a, x) for a in base.label_set(0) for x in fib.get(a, ()))
-        comp = {k: dict(v) for k, v in X.composition.items()}
-        Y = TheoryPresentation(0, base.variance, 0, base.arity_bound, {}, {DIM0_KEY: elems}, comp)
-        return Y, TheoryMorphism(Y, base, {0: {DIM0_KEY: {e: e[0] for e in elems}}})
-    cols = tuple((u, x) for u in base.label_set(0) for x in X.objects.get(u, ()))
-    strata = {d: {} for d in range(n)}
-    strata[0][DIM0_KEY] = cols
-    top = {}
-    actions = {0: {DIM0_KEY: {c: c[0] for c in cols}}}
-    for d in range(1, n + 1):
-        table = top if d == n else strata[d]
-        src = X.top_mul if d == n else X.strata.get(d, {})
+    Y = _coloured(n, base.variance, n, base.arity_bound, ())
+    actions = {}
+    for d in range(n + 1):
         actions[d] = {}
-        for (ak, gkey), fib in src.items():
+        for (ak, gkey), fib in X.table(d).items():
             labs = tuple(
                 (v, y)
                 for v in base.label_set(d, ak, _project_key(gkey, d))
                 for y in fib.get(v, ())
             )
-            table[(ak, gkey)] = labs
+            Y.table(d)[(ak, gkey)] = labs
             actions[d][(ak, gkey)] = {lab: lab[0] for lab in labs}
-    comp = {k: dict(v) for k, v in X.composition.items()}
-    Y = TheoryPresentation(n, base.variance, n, base.arity_bound, strata, top, comp)
+    Y.composition.update((k, dict(v)) for k, v in X.composition.items())
     return Y, TheoryMorphism(Y, base, actions)
 
 
@@ -161,26 +176,15 @@ def from_projection(Y, p):
     """
     base = p.target
     n = Y.n
-    if n == 0:
-        f0 = p.actions[0][DIM0_KEY]
-        fib = {a: tuple(e for e in Y.top_mul[DIM0_KEY] if f0[e] == a) for a in base.label_set(0)}
-        comp = {}
-        for (ak, _), entry in Y.composition.items():
-            comp[(ak, ())] = {
-                tuple((f0[x], x) for x in ins): (f0[out], out) for ins, out in entry.items()
-            }
-        return GradedTheoryPresentation(base, {}, {}, {DIM0_KEY: fib}, comp)
-    objects = {
+    zero = {
         u: tuple(c for c in Y.label_set(0) if p.act(0, "", (), c) == u)
         for u in base.label_set(0)
     }
-    strata = {d: {} for d in range(1, n)}
-    top = {}
+    tables = {0: {DIM0_KEY: zero}}
     for d in range(1, n + 1):
-        table = top if d == n else strata[d]
-        src = Y.table(d)
-        for (ak, skey), labs in src.items():
-            lay = layout(_arity_of_key(Y, d, ak))
+        tables[d] = table = {}
+        for (ak, skey), labs in Y.table(d).items():
+            lay = layout(_arity_of_key(ak, Y.arity_bound))
             pasg = _pair_assignment(p, lay, key_assignment(lay.spec, skey))
             gkey = whole_key(lay.spec, pasg.__getitem__)
             bkey = whole_key(lay.spec, lambda ad: pasg[ad][0])
@@ -190,39 +194,31 @@ def from_projection(Y, p):
             }
     comp = {}
     for (ak, lk), entry in Y.composition.items():
-        lay = layout(_arity_of_key(Y, n + 1, ak))
+        lay = layout(_arity_of_key(ak, Y.arity_bound))
         asg = key_assignment(lay.spec, lk)
         glk = lower_key(lay.spec, _pair_assignment(p, lay, asg).__getitem__)
-        keys = Slots([s for s in lay.steps if s[1] == n], asg.__getitem__)()
+        keys = site_slots(lay, asg.__getitem__)()
         comp[(ak, glk)] = {
             tuple((p.act(*key, y), y) for key, y in zip(keys, ins)): (p.act(*keys[-1], out), out)
             for ins, out in entry.items()
         }
-    return GradedTheoryPresentation(base, objects, strata, top, comp)
+    return _graded(base, tables, comp)
 
 
 def validate_graded(X, bound=None):
     """Typing of the graded tables plus full validation of the pair
     theory and its projection morphism."""
     base = X.base
-    viol, warn = [], []
-    if base.n == 0:
-        for a in X.top_mul.get(DIM0_KEY, {}):
-            if a not in base.label_set(0):
-                viol.append(Violation("grading-typing", "", (a,), "base element", a))
-    else:
-        for u in X.objects:
-            if u not in base.label_set(0):
-                viol.append(Violation("grading-typing", "", (u,), "base colour", u))
-        for d in range(1, base.n + 1):
-            table = X.top_mul if d == base.n else X.strata.get(d, {})
-            for (ak, gkey), fib in table.items():
-                degrees = base.label_set(d, ak, _project_key(gkey, d))
-                for v in fib:
-                    if v not in degrees:
-                        viol.append(Violation("grading-typing", ak, (gkey, v), tuple(degrees), v))
+    zero = X.table(0).get(DIM0_KEY, {})
+    viol = [Violation("grading-typing", "", (u,), "base colour", u) for u in zero if u not in base.label_set(0)]
+    for d in range(1, base.n + 1):
+        for (ak, gkey), fib in X.table(d).items():
+            degrees = base.label_set(d, ak, _project_key(gkey, d))
+            for v in fib:
+                if v not in degrees:
+                    viol.append(Violation("grading-typing", ak, (gkey, v), tuple(degrees), v))
     if viol:
-        return ValidationReport("fail", viol, warn)
+        return ValidationReport("fail", viol, [])
     Y, p = to_projection(X)
     return _pair_report(Y, p, bound)
 
@@ -244,44 +240,28 @@ def relabel_graded(X, obj_map, lab_map):
 
     ``obj_map(colour, object)`` and ``lab_map(d, degree, element)`` must
     be injective slotwise; keys are rewritten structurally, so no layout
-    walks are needed.
+    walks are needed.  Over a 0-dimensional base the elements are labels
+    of the top dimension, so ``lab_map(0, ...)`` renames them.
     """
-    base = X.base
-    n = base.n
-    if n == 0:
-        top = {
-            DIM0_KEY: {
-                a: tuple(lab_map(0, a, x) for x in labs)
-                for a, labs in X.top_mul[DIM0_KEY].items()
-            }
-        }
-        comp = {}
-        for key, entry in X.composition.items():
-            comp[key] = {
-                tuple((a, lab_map(0, a, x)) for a, x in ins): (out[0], lab_map(0, out[0], out[1]))
-                for ins, out in entry.items()
-            }
-        return GradedTheoryPresentation(base, {}, {}, top, comp)
+    n = X.base.n
 
     def rp(d, pair):
         u, x = pair
-        return (u, obj_map(u, x)) if d == 0 else (u, lab_map(d, u, x))
+        return (u, obj_map(u, x) if d == 0 < n else lab_map(d, u, x))
 
-    def rfib(d, fib):
-        return {v: tuple(lab_map(d, v, y) for y in ys) for v, ys in fib.items()}
-
-    objects = {u: tuple(obj_map(u, x) for x in xs) for u, xs in X.objects.items()}
-    strata = {
-        d: {(ak, map_key(rp, gk, d)): rfib(d, fib) for (ak, gk), fib in table.items()}
-        for d, table in X.strata.items()
+    tables = {
+        d: {
+            (ak, map_key(rp, gk, d)): {v: tuple(rp(d, (v, y))[1] for y in ys) for v, ys in fib.items()}
+            for (ak, gk), fib in X.table(d).items()
+        }
+        for d in range(n + 1)
     }
-    top = {(ak, map_key(rp, gk, n)): rfib(n, fib) for (ak, gk), fib in X.top_mul.items()}
     comp = {}
     for (ak, glk), entry in X.composition.items():
         comp[(ak, map_key(rp, glk, n + 1))] = {
             tuple(rp(n, e) for e in ins): rp(n, out) for ins, out in entry.items()
         }
-    return GradedTheoryPresentation(base, objects, strata, top, comp)
+    return _graded(X.base, tables, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +276,7 @@ def compose_morphisms(G, F):
     for d in range(1, F.source.n + 1):
         actions[d] = {}
         for (ak, skey), mp in F.actions.get(d, {}).items():
-            lay = layout(_arity_of_key(F.source, d, ak))
+            lay = layout(_arity_of_key(ak, F.source.arity_bound))
             asg = key_assignment(lay.spec, skey)
             mkey = whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
             actions[d][(ak, skey)] = {a: G.act(d, ak, mkey, b) for a, b in mp.items()}
@@ -316,7 +296,7 @@ def morphism_from_maps(S, T, colour_map, label_map=None):
     for d in range(1, S.n + 1):
         actions[d] = {}
         for (ak, skey), labs in S.table(d).items():
-            lay = layout(_arity_of_key(S, d, ak))
+            lay = layout(_arity_of_key(ak, S.arity_bound))
             asg = key_assignment(lay.spec, skey)
             tkey = whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
             actions[d][(ak, skey)] = {lab: label_map(d, ak, skey, tkey, lab) for lab in labs}
@@ -371,25 +351,17 @@ def _graded_pair_theory(base, objects, fibre_rule, comp_rule, bound=None):
 
 def _graded_from_pairs(base, Y):
     """Reshape a pair theory (labels already pairs) into graded form."""
-    n = base.n
-    if n == 0:
-        fib = {a: tuple(x for a2, x in Y.top_mul[DIM0_KEY] if a2 == a) for a in base.label_set(0)}
-        return GradedTheoryPresentation(
-            base, {}, {}, {DIM0_KEY: fib}, {k: dict(v) for k, v in Y.composition.items()}
-        )
-    objects = {u: tuple(x for u2, x in Y.label_set(0) if u2 == u) for u in base.label_set(0)}
-    strata = {d: {} for d in range(1, n)}
-    top = {}
-    for d in range(1, n + 1):
-        table = top if d == n else strata[d]
-        src = Y.table(d)
-        for (ak, gkey), labs in src.items():
-            table[(ak, gkey)] = {
+    tables = {
+        d: {
+            (ak, gkey): {
                 v: tuple(y for v2, y in labs if v2 == v)
                 for v in base.label_set(d, ak, _project_key(gkey, d))
             }
-    comp = {k: dict(v) for k, v in Y.composition.items()}
-    return GradedTheoryPresentation(base, objects, strata, top, comp)
+            for (ak, gkey), labs in Y.table(d).items()
+        }
+        for d in range(base.n + 1)
+    }
+    return _graded(base, tables, {k: dict(v) for k, v in Y.composition.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +410,7 @@ def pullback(F, X, bound=None):
     base2 = F.source
     if F.target != X.base:
         raise ValueError("the morphism must land in the grading base")
-    if base2.n == 0:
-        f0 = F.actions[0][DIM0_KEY]
-        objects = {a: X.top_mul[DIM0_KEY].get(f0[a], ()) for a in base2.label_set(0)}
-
-        def crule0(P, lay, asg, v, inputs):
-            entry = X.composition.get((canonical_key(P), ()))
-            if entry is None:
-                return SKIP
-            out = entry.get(tuple((f0[a], x) for a, x in inputs))
-            return SKIP if out is None else out[1]
-
-        return _graded_pair_theory(base2, objects, None, crule0, bound)
-    objects = {u: X.objects.get(F.act(0, "", (), u), ()) for u in base2.label_set(0)}
+    objects = {u: X.fibre(0, v=F.act(0, "", (), u)) for u in base2.label_set(0)}
 
     def translate(lay, asg):
         imgs = map_assignment(F, lay, {ad: v for ad, (v, _) in asg.items()})
@@ -466,7 +426,7 @@ def pullback(F, X, bound=None):
         entry = X.composition.get((canonical_key(P), lower_key(lay.spec, tasg.__getitem__)))
         if entry is None:
             return SKIP
-        out = entry.get(tuple(tasg[ad] for ad in lay.chain_addrs))
+        out = entry.get(tuple(map(tasg.__getitem__, lay.spec.chain)))
         return SKIP if out is None else out[1]
 
     return _graded_pair_theory(base2, objects, frule, crule, bound)
@@ -522,12 +482,11 @@ def push_right(V, X, bound=None):
     if X.base != VP:
         raise ValueError("the pushed presentation must be graded over the pair theory")
     UU = theta(U, bound)
+    objects = {}
+    for u in U.label_set(0):
+        vs = V.fibre(0, v=u)
+        objects[u] = _pr_sections(vs, [X.fibre(0, v=(u, v)) for v in vs])
     if m == 0:
-        objects = {}
-        for u in U.label_set(0):
-            vs = V.fibre(0, v=u)
-            objects[u] = _pr_sections(vs, [X.fibre(0, v=(u, v)) for v in vs])
-
         def frule(d, ar, lay, asg, lam):
             k = ar.top
             us = [asg[("c", i)][0] for i in range(k + 1)]
@@ -549,11 +508,6 @@ def push_right(V, X, bound=None):
             return (POINT,)
 
     else:
-        objects = {}
-        for u in U.label_set(0):
-            vs = V.objects.get(u, ())
-            objects[u] = _pr_sections(vs, [X.objects.get((u, v), ()) for v in vs])
-
         def frule(d, ar, lay, asg, deg):
             if d == 1:
                 return _pr_tau_fibre(V, X, ar, lay, asg, deg)
@@ -813,48 +767,43 @@ def validate_algebra(alg, bound=None):
 
 
 def enumerate_graded_presentations(U, objects, cap, bound=None):
-    """All graded candidates over a one-dimensional base with the given
-    objects and fibre sizes up to ``cap`` (composition degrees forced by
-    the base, fibre outputs free); filter with :func:`validate_graded`.
+    """All graded candidates over a base of dimension at most one: the
+    fibres over every degree of every top-dimension site of the pair
+    skeleton (the base's objects refined by ``objects``) get sizes up to
+    ``cap``, composition degrees are forced by the base and fibre outputs
+    are free; filter with :func:`validate_graded`.  Over a 0-dimensional
+    base the top dimension is 0, so the element fibres vary and
+    ``objects`` is unused.
     """
-    if U.n == 0:
-        yield from _enumerate_graded_0(U, cap, bound)
-        return
-    if U.n != 1:
+    n = U.n
+    if n > 1:
         raise ValueError("implemented for bases of dimension <= 1")
     bound = U.arity_bound if bound is None else bound
-    pairs = tuple((u, x) for u in U.label_set(0) for x in objects.get(u, ()))
-    keyset, slots = [], []
-    for a in enumerate_arities(1, bound, U.variance):
-        ak = canonical_key(a)
-        for pc in product(pairs, repeat=a.top + 1):
-            keyset.append((ak, (pc,)))
-            bcols = tuple(c[0] for c in pc)
-            for v in U.label_set(1, ak, (bcols,)):
-                slots.append((ak, (pc,), v))
-    comp_shapes = []
-    for P in enumerate_arities(2, bound, U.variance):
-        lay = layout(P)
-        ak2 = canonical_key(P)
-        for pcols in product(pairs, repeat=lay.colour_count):
-            bentry = U.composition.get((ak2, (tuple(c[0] for c in pcols), ())))
-            if bentry is not None:
-                keys = Slots(lay.steps, dict(zip(lay.colour_addrs, pcols)).__getitem__)()
-                comp_shapes.append(((ak2, (pcols, ())), keys[:-1], keys[-1], bentry))
+    S = _coloured(n, U.variance, n, bound, ((u, x) for u in U.label_set(0) for x in objects.get(u, ())))
+    sites = [DIM0_KEY]
+    if n:
+        sites = [(ak, key) for *_, ak, _, key in stratum_sites(S, 1, enumerate_arities(1, bound, U.variance))]
+    slots = [(key, v) for key in sites for v in U.label_set(n, key[0], _project_key(key[1], n))]
+    shapes = []
+    for _, _, ak, _, lk, site in composition_sites(S, enumerate_arities(n + 1, bound, U.variance)):
+        bentry = U.composition.get((ak, _project_key(lk, n + 1)))
+        if bentry is not None:
+            keys = site()
+            shapes.append(((ak, lk), keys[:-1], keys[-1], bentry))
     for sizes in product(range(cap + 1), repeat=len(slots)):
-        top = {key: {} for key in keyset}
-        for (ak, gk, v), s in zip(slots, sizes):
-            top[(ak, gk)][v] = tuple(f"m{i}" for i in range(s))
+        fibres = {key: {} for key in sites}
+        for (key, v), s in zip(slots, sizes):
+            fibres[key][v] = tuple(f"m{i}" for i in range(s))
         entry_slots, comp_keys, dead = [], [], False
-        for key, chain, (_, tak, tgk), bentry in comp_shapes:
+        for key, chain, (_, tak, tgk), bentry in shapes:
             comp_keys.append(key)
             csets = [
-                [(v, y) for v, ys in top.get((cak, cgk), {}).items() for y in ys]
+                [(v, y) for v, ys in fibres.get((cak, cgk), {}).items() for y in ys]
                 for _, cak, cgk in chain
             ]
             for ins in product(*csets):
                 vout = bentry[tuple(e[0] for e in ins)]
-                tfib = top.get((tak, tgk), {}).get(vout, ())
+                tfib = fibres.get((tak, tgk), {}).get(vout, ())
                 if not tfib:
                     dead = True
                     break
@@ -867,41 +816,9 @@ def enumerate_graded_presentations(U, objects, cap, bound=None):
             comp = {key: {} for key in comp_keys}
             for (key, ins, vout, _), y in zip(entry_slots, choice):
                 comp[key][ins] = (vout, y)
-            yield GradedTheoryPresentation(U, dict(objects), {}, dict(top), comp)
-
-
-def _enumerate_graded_0(U, cap, bound):
-    """Graded candidates over a 0-dimensional base: element fibres up
-    to ``cap`` with composites forced in degree and free in the fibre."""
-    bound = U.arity_bound if bound is None else bound
-    elems = U.label_set(0)
-    shapes = [
-        (canonical_key(P), P.top, U.composition.get((canonical_key(P), ())))
-        for P in enumerate_arities(1, bound, U.variance)
-    ]
-    for sizes in product(range(cap + 1), repeat=len(elems)):
-        fib = {a: tuple(f"m{i}" for i in range(s)) for a, s in zip(elems, sizes)}
-        pairs = tuple((a, x) for a in elems for x in fib[a])
-        entry_slots, comp_keys, dead = [], [], False
-        for ak, top, bentry in shapes:
-            if bentry is None:
-                continue
-            comp_keys.append((ak, ()))
-            for ins in product(pairs, repeat=top):
-                vout = bentry[tuple(e[0] for e in ins)]
-                if not fib[vout]:
-                    dead = True
-                    break
-                entry_slots.append(((ak, ()), ins, vout, fib[vout]))
-            if dead:
-                break
-        if dead:
-            continue
-        for choice in product(*[tf for *_, tf in entry_slots]):
-            comp = {key: {} for key in comp_keys}
-            for (key, ins, vout, _), y in zip(entry_slots, choice):
-                comp[key][ins] = (vout, y)
-            yield GradedTheoryPresentation(U, {}, {}, {DIM0_KEY: fib}, comp)
+            tables = {n: dict(fibres)}
+            tables.setdefault(0, {DIM0_KEY: dict(objects)})
+            yield _graded(U, tables, comp)
 
 
 def _enumerate_algebras_1(W, cap, bound):

@@ -28,6 +28,7 @@ from operator import itemgetter
 from .arity import (
     Arity,
     Level,
+    arity_of_key,
     canonical_key,
     decompose,
     decompose_general,
@@ -218,8 +219,8 @@ def composition_sites(T, pool, within=None):
 
     The assignment covers the boundary below the chain; ``slots`` gives
     the ``(d, akey, tkey)`` label-set keys of the chain inputs and then
-    of the target (see :class:`Slots`).  At n = 0 the assignment is
-    empty, the lower key is ``()`` and every slot is the colour set.
+    of the target (see :func:`site_slots`).  At n = 0 the colours are the
+    top level, so the assignment is empty and the lower key is ``()``.
     With ``within`` (a composition table), only the sites it has a
     nonempty entry for.
     """
@@ -227,17 +228,23 @@ def composition_sites(T, pool, within=None):
     for P in pool:
         lay = layout(P)
         ak = canonical_key(P)
-        if n == 0:
-            if within is None or within.get((ak, ())):
-                yield P, lay, ak, {}, (), Slots(((None, 0, "", None),) * (P.top + 1), None)
-            continue
-        below = [s for s in lay.steps if s[1] < n]
-        tops = lay.steps[len(below) :]  # the top level: chain atoms, then the target
-        for asg in _walk(T, lay.colour_addrs, below):
+        tops = site_slots(lay).steps
+        below = _walk(T, lay.colour_addrs, lay.steps[: len(lay.steps) - len(tops)]) if n else ({},)
+        for asg in below:
             val = asg.__getitem__
             lk = lower_key(lay.spec, val)
             if within is None or within.get((ak, lk)):
                 yield P, lay, ak, asg, lk, Slots(tops, val)
+
+
+def site_slots(lay, val=None):
+    """The :class:`Slots` of a composition site of ``lay``'s arity, at
+    any n, its boundary below the chain read through ``val``: the top
+    level's steps, chain atoms then target.  At n = 0 every slot is the
+    element set, ``(0, "", ())``."""
+    if lay.arity.k == 1:
+        return Slots(((None, 0, "", None),) * (lay.arity.top + 1), val)
+    return Slots(lay.steps[len(lay.steps) - len(lay.chain_addrs) - 1 :], val)
 
 
 class Slots(namedtuple("Slots", "steps val")):
@@ -290,7 +297,8 @@ def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_dept
     multimaps with the given fully typed boundary (1 <= d <= n);
     ``comp_rule(arity, lay, asg, inputs)`` returns the composite label
     for a composition instance, where ``asg`` covers the lower boundary
-    plus the chain addresses, or :data:`SKIP` to leave the input out (a
+    plus the chain addresses (``lay.spec.chain``: the input colours when
+    n = 0), or :data:`SKIP` to leave the input out (a
     site whose inputs are all left out gets no table).  For n = 0
     ``colours`` is the element set.
     """
@@ -304,7 +312,7 @@ def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_dept
         skipped = False
         for inputs in site_inputs(T, slots):
             full = dict(asg)
-            full.update(zip(lay.chain_addrs, inputs))
+            full.update(zip(lay.spec.chain, inputs))
             out = comp_rule(P, lay, full, inputs)
             if out is SKIP:
                 skipped = True
@@ -736,7 +744,7 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
         table = S.table(d)
         for key in sorted(table, key=repr):
             ak, skey = key
-            lay = layout(_arity_of_key(S, d, ak))
+            lay = layout(_arity_of_key(ak, S.arity_bound))
             tkey = _Template(whole_key(lay.spec, map_assignment(vi, lay, key_assignment(lay.spec, skey)).__getitem__))
             for lab in table[key]:
                 vi.add(d, key, lab)
@@ -820,13 +828,15 @@ def _morphism_of(S, T, slots, val):
 
 
 @lru_cache(maxsize=None)
-def _arity_index(d, bound, variance):
-    return {canonical_key(a): a for a in enumerate_arities(d, bound, variance)}
-
-
-def _arity_of_key(T, d, akey):
-    """The enumerated arity of T's dimension-d tables with the given key."""
-    return _arity_index(d, T.arity_bound, T.variance)[akey]
+def _arity_of_key(akey, bound):
+    """The arity of a table key, which must lie within ``bound`` as the
+    keys of a bounded table do.  A key past it (a ``--deloop-ready``
+    extra, or a key no bounded table holds) raises ``ValueError``, so no
+    key can make a verb lay out an arity larger than the bound."""
+    a = arity_of_key(akey)
+    if max((a.top,) + sum((lv.sizes for lv in a.levels), ())) > bound:
+        raise ValueError(f"the arity key {akey!r} is past the arity bound {bound}")
+    return a
 
 
 # ---------------------------------------------------------------------------

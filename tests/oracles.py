@@ -21,18 +21,33 @@ Differential tests compare the library against these:
   table the presentation reads, so the list tree of the whole file
   exists while its tuple copy is built;
 * ``deloop``: keys V's tables through one lambda call per flattened
-  address instead of reading key addresses mapped once per arity.
+  address instead of reading key addresses mapped once per arity;
+* ``to_projection_0``, ``from_projection_0``, ``graded_from_pairs_0``,
+  ``relabel_graded_0``, ``pullback_0`` and ``enumerate_graded_0``: the
+  graded routes over a 0-dimensional base that kept its element fibres
+  apart, where ``graded`` now runs dimension 0 through the same code as
+  dimension 1.
 """
 
 import json
 from itertools import product
 
-from htk.arity import canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
+from htk.arity import arity_of_key, canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
 from htk.cli import FORMAT, FormatError
 from htk.constructions import _fl_tau
 from htk.graded import GradedTheoryPresentation
 from htk.ordcomb import PLANAR, SYMMETRIC
-from htk.theory import TheoryPresentation, Violation, _coloured, composition_sites, stratum_sites
+from htk.theory import (
+    DIM0_KEY,
+    SKIP,
+    TheoryMorphism,
+    TheoryPresentation,
+    Violation,
+    _coloured,
+    build_theory,
+    composition_sites,
+    stratum_sites,
+)
 
 # ---------------------------------------------------------------------------
 # boundary keys
@@ -256,6 +271,107 @@ def deloop(V, base="*", bound=None):
 
 
 # ---------------------------------------------------------------------------
+# gradings over a 0-dimensional base
+
+
+def to_projection_0(X):
+    """A drop-in for ``graded.to_projection`` over a 0-dimensional base."""
+    base = X.base
+    fib = X.top_mul[DIM0_KEY]
+    elems = tuple((a, x) for a in base.label_set(0) for x in fib.get(a, ()))
+    comp = {k: dict(v) for k, v in X.composition.items()}
+    Y = TheoryPresentation(0, base.variance, 0, base.arity_bound, {}, {DIM0_KEY: elems}, comp)
+    return Y, TheoryMorphism(Y, base, {0: {DIM0_KEY: {e: e[0] for e in elems}}})
+
+
+def from_projection_0(Y, p):
+    """A drop-in for ``graded.from_projection`` over a 0-dimensional base."""
+    base = p.target
+    f0 = p.actions[0][DIM0_KEY]
+    fib = {a: tuple(e for e in Y.top_mul[DIM0_KEY] if f0[e] == a) for a in base.label_set(0)}
+    comp = {}
+    for (ak, _), entry in Y.composition.items():
+        comp[(ak, ())] = {tuple((f0[x], x) for x in ins): (f0[out], out) for ins, out in entry.items()}
+    return GradedTheoryPresentation(base, {}, {}, {DIM0_KEY: fib}, comp)
+
+
+def graded_from_pairs_0(base, Y):
+    """A drop-in for ``graded._graded_from_pairs`` over a 0-dimensional base."""
+    fib = {a: tuple(x for a2, x in Y.top_mul[DIM0_KEY] if a2 == a) for a in base.label_set(0)}
+    return GradedTheoryPresentation(base, {}, {}, {DIM0_KEY: fib}, {k: dict(v) for k, v in Y.composition.items()})
+
+
+def relabel_graded_0(X, obj_map, lab_map):
+    """A drop-in for ``graded.relabel_graded`` over a 0-dimensional base:
+    the elements are renamed by ``lab_map(0, ...)``; ``obj_map`` is unused."""
+    top = {DIM0_KEY: {a: tuple(lab_map(0, a, x) for x in labs) for a, labs in X.top_mul[DIM0_KEY].items()}}
+    comp = {}
+    for key, entry in X.composition.items():
+        comp[key] = {
+            tuple((a, lab_map(0, a, x)) for a, x in ins): (out[0], lab_map(0, out[0], out[1]))
+            for ins, out in entry.items()
+        }
+    return GradedTheoryPresentation(X.base, {}, {}, top, comp)
+
+
+def pullback_0(F, X, bound=None):
+    """A drop-in for ``graded.pullback`` along a morphism of 0-dimensional
+    bases: the pair theory saturated directly, each composite read off X
+    at the images of its inputs."""
+    base2 = F.source
+    bound = base2.arity_bound if bound is None else bound
+    f0 = F.actions[0][DIM0_KEY]
+    pairs = tuple((a, x) for a in base2.label_set(0) for x in X.top_mul[DIM0_KEY].get(f0[a], ()))
+
+    def crule(P, lay, asg, inputs):
+        ak = canonical_key(P)
+        bentry = base2.composition.get((ak, ()))
+        entry = X.composition.get((ak, ()))
+        if bentry is None or entry is None:
+            return SKIP
+        out = entry.get(tuple((f0[a], x) for a, x in inputs))
+        return SKIP if out is None else (bentry[tuple(a for a, _ in inputs)], out[1])
+
+    Y = build_theory(0, base2.variance, bound, pairs, None, crule)
+    return graded_from_pairs_0(base2, Y)
+
+
+def enumerate_graded_0(U, cap, bound=None):
+    """A drop-in for ``graded.enumerate_graded_presentations`` over a
+    0-dimensional base: element fibres up to ``cap`` with composites
+    forced in degree and free in the fibre."""
+    bound = U.arity_bound if bound is None else bound
+    elems = U.label_set(0)
+    shapes = [
+        (canonical_key(P), P.top, U.composition.get((canonical_key(P), ())))
+        for P in enumerate_arities(1, bound, U.variance)
+    ]
+    for sizes in product(range(cap + 1), repeat=len(elems)):
+        fib = {a: tuple(f"m{i}" for i in range(s)) for a, s in zip(elems, sizes)}
+        pairs = tuple((a, x) for a in elems for x in fib[a])
+        entry_slots, comp_keys, dead = [], [], False
+        for ak, top, bentry in shapes:
+            if bentry is None:
+                continue
+            comp_keys.append((ak, ()))
+            for ins in product(pairs, repeat=top):
+                vout = bentry[tuple(e[0] for e in ins)]
+                if not fib[vout]:
+                    dead = True
+                    break
+                entry_slots.append(((ak, ()), ins, vout, fib[vout]))
+            if dead:
+                break
+        if dead:
+            continue
+        for choice in product(*[tf for *_, tf in entry_slots]):
+            comp = {key: {} for key in comp_keys}
+            for (key, ins, vout, _), y in zip(entry_slots, choice):
+                comp[key][ins] = (vout, y)
+            yield GradedTheoryPresentation(U, {}, {}, {DIM0_KEY: fib}, comp)
+
+
+# ---------------------------------------------------------------------------
 # canonical files
 
 
@@ -336,9 +452,19 @@ def _keyed(table, d):
         if d == 0:
             ok = key == ("", ())
         else:
-            ok = isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str) and key[0].startswith(f"k{d}|")
+            try:
+                ok = isinstance(key, tuple) and len(key) == 2 and arity_of_key(key[0]).k == d
+            except ValueError:
+                ok = False
         if not ok:
             raise FormatError(f"a dimension-{d} table holds the key {key!r}")
+    return table
+
+
+def _lists(table):
+    for key, value in table.items():
+        if not isinstance(value, tuple):
+            raise FormatError(f"the entry at {key!r} must be a list, got {value!r}")
     return table
 
 
@@ -361,19 +487,26 @@ def _obj_to_theory(obj):
         obj["variance"],
         obj["colour_depth"],
         obj["arity_bound"],
-        {d: _keyed(_untable(entries), d) for d, entries in obj["strata"]},
-        _keyed(_untable(obj["top_mul"]), obj["dimension"]),
+        {d: _keyed(_lists(_untable(entries)), d) for d, entries in obj["strata"]},
+        _keyed(_lists(_untable(obj["top_mul"])), obj["dimension"]),
         _keyed(_unnested(obj["composition"]), obj["dimension"] + 1),
     )
 
 
 def _obj_to_graded(obj):
     base = _obj_to_theory(obj["base"])
+    objects = _lists(_untable(obj["objects"]))
+    if base.n == 0 and objects:
+        raise FormatError("a graded file over a 0-dimensional base must have empty objects")
+
+    def fibred(entries):
+        return {k: _lists(v) for k, v in _unnested(entries).items()}
+
     return GradedTheoryPresentation(
         base,
-        _untable(obj["objects"]),
-        {d: _keyed(_unnested(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
-        _keyed(_unnested(obj["top_mul"]), base.n),
+        objects,
+        {d: _keyed(fibred(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
+        _keyed(fibred(obj["top_mul"]), base.n),
         _keyed(_unnested(obj["composition"]), base.n + 1),
     )
 

@@ -8,6 +8,7 @@ from htk.arity import (
     Arity,
     GeneralArity,
     Level,
+    arity_of_key,
     canonical_key,
     decompose_general,
     enumerate_arities,
@@ -55,6 +56,27 @@ class TestEnumerate:
         for k in (2, 3):
             for a in enumerate_arities(k, 2):
                 Arity(a.k, a.top, a.levels)  # re-runs the invariant checks
+
+
+class TestArityOfKey:
+    def test_inverts_canonical_key(self):
+        arities = [a for k in (1, 2, 3) for v in (SYMMETRIC, PLANAR) for a in enumerate_arities(k, 2, v)]
+        arities += enumerate_arities(1, 12)
+        for a in arities:
+            assert arity_of_key(canonical_key(a)) == a
+
+    @pytest.mark.parametrize(
+        "key", ["bogus", "k2|bogus", "k2|t01|1/", "k2|t0|1/:", "k2|t1|1,1/", "k1|t1", "k1|t-1|", "g1|1>1:1|"]
+    )
+    def test_rejects_a_text_that_does_not_read_back(self, key):
+        with pytest.raises(ValueError):
+            arity_of_key(key)
+
+    def test_rejects_an_image_of_10(self):
+        # the run-together table "10" reads back as two images
+        a = mk2(2, (1, 10, 1), ((10,), (1,) * 10))
+        with pytest.raises(ValueError):
+            arity_of_key(canonical_key(a))
 
 
 class TestPushforward:
@@ -155,6 +177,15 @@ class TestLayout:
         assert lay.colour_count == 4
         assert lay.atoms == {}
         assert lay.target_addr is None
+
+    def test_k1_spec_is_shaped_like_a_1_dimensional_atom(self):
+        # the inputs are the chain and the output is the target, whether
+        # the 1-arity is laid out whole or is an atom of a 2-arity
+        specs = [layout(a).spec for a in enumerate_arities(1, 3)]
+        specs += [at.spec for a in enumerate_arities(2, 2) for at in layout(a).atoms[1]]
+        for spec in specs:
+            assert spec.arity.k == 1 and spec.lower == ()
+            assert spec.chain == spec.colours[:-1] and spec.target == spec.colours[-1]
 
     def test_classic_two_level_tree(self):
         # a chain of two compositions: inner maps feeding one outer map

@@ -223,8 +223,30 @@ class TestExitCodes:
                 lambda bound: terminal_graded(assoc_operad(bound=bound), bound=bound),
                 lambda obj: obj["top_mul"].append([["k2|t0|1/", [[["*", "*"]], []]], []]),
             ),
+            # the prefix names the right dimension, but no arity has the key
+            (assoc_operad, lambda obj: obj["composition"].append([["k2|bogus", [["*"], []]], []])),
+            (assoc_operad, lambda obj: obj["composition"].append([["k2|t01|1/", [["*"], []]], []])),
+            (assoc_operad, lambda obj: obj["composition"].append([["k2|t0|1/:", [["*"], []]], []])),
+            (assoc_operad, lambda obj: obj["composition"].append([["k2|t1|1,1/", [["*"], []]], []])),
+            # an image of 10 writes two digits, so the key reads back too long
+            (
+                assoc_operad,
+                lambda obj: obj["composition"].append([["k2|t2|1,10,1/10:1111111111", [["*"], []]], []]),
+            ),
         ],
-        ids=["composition-k9", "composition-k1", "top-k2", "top-not-a-pair", "colours", "graded-top-k2"],
+        ids=[
+            "composition-k9",
+            "composition-k1",
+            "top-k2",
+            "top-not-a-pair",
+            "colours",
+            "graded-top-k2",
+            "composition-bogus",
+            "composition-leading-zero",
+            "composition-extra-map",
+            "composition-missing-image",
+            "composition-image-10",
+        ],
     )
     def test_key_of_another_dimension_is_a_format_error(self, make, edit, tmp_path, capsys):
         obj = json.loads(serialize(make(bound=1)))
@@ -234,6 +256,77 @@ class TestExitCodes:
         for argv in (["validate", str(p), "--bound", "1"], ["fmt", str(p)]):
             code, out, err = run(argv, capsys)
             assert code == 2 and out == "" and "error: a dimension-" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("top", [10, 999999999], ids=["top-10", "top-huge"])
+    def test_key_past_the_bound_is_not_laid_out(self, top, tmp_path, capsys):
+        # the key is canonical, so it parses; a verb that lays out the
+        # file's keys stops at it rather than build a huge arity
+        obj = json.loads(serialize(assoc_operad(bound=1)))
+        obj["top_mul"].append([[f"k1|t{top}|", [["*"] * min(top + 1, 11)]], []])
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(obj))
+        code, out, err = run(["enum", "functors", str(p), str(p)], capsys)
+        assert code == 1 and out == "" and err.count("error:") == 1 and "past the arity bound 1" in err
+
+    def test_own_output_at_bound_10_reads_back(self, tmp_path, capsys):
+        # a composition key of a 0-dimensional theory at bound 10 is k1|t10|
+        p = tmp_path / "c10.json"
+        run(["build", "cyclic:2", "--bound", "10", "-o", str(p)], capsys)
+        assert '"k1|t10|"' in p.read_text()
+        # checking every site at bound 10 is too large for a unit test
+        assert run(["validate", str(p), "--bound", "1"], capsys)[0] == 0
+        code, out, _ = run(["fmt", str(p)], capsys)
+        assert code == 0 and out == p.read_text()
+
+    @pytest.mark.parametrize(
+        "make,edit",
+        [
+            (assoc_operad, lambda obj: obj["top_mul"][1].__setitem__(1, 5)),
+            (assoc_operad, lambda obj: obj["strata"][0][1][0].__setitem__(1, 5)),
+            (
+                lambda bound: terminal_graded(assoc_operad(bound=bound), bound=bound),
+                lambda obj: obj["objects"][0].__setitem__(1, 5),
+            ),
+            (
+                lambda bound: terminal_graded(assoc_operad(bound=bound), bound=bound),
+                lambda obj: obj["top_mul"][0][1][0].__setitem__(1, 5),
+            ),
+            (
+                lambda bound: product_graded(cyclic_monoid_theory(2, bound=bound), 2, bound=bound),
+                lambda obj: obj["top_mul"][0][1][0].__setitem__(1, 5),
+            ),
+        ],
+        ids=["top", "colours", "graded-objects", "graded-fibre", "dim0-fibre"],
+    )
+    def test_scalar_label_set_is_a_format_error(self, make, edit, tmp_path, capsys):
+        obj = json.loads(serialize(make(bound=1)))
+        edit(obj)
+        p = tmp_path / "scalar.json"
+        p.write_text(json.dumps(obj))
+        for argv in (["validate", str(p)], ["apply", "theta", str(p)], ["fmt", str(p)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and err.count("error:") == 1 and "Traceback" not in err
+
+    def test_objects_over_a_dimension_zero_base_are_a_format_error(self, tmp_path, capsys):
+        # over a 0-dimensional base the element fibres live in top_mul
+        obj = json.loads(serialize(product_graded(cyclic_monoid_theory(2, bound=1), 2, bound=1)))
+        assert obj["objects"] == []
+        obj["objects"] = [[0, ["ghost"]]]
+        p = tmp_path / "ghost.json"
+        p.write_text(json.dumps(obj))
+        for verb in ("validate", "fmt"):
+            code, out, err = run([verb, str(p)], capsys)
+            assert code == 2 and out == "" and err.count("error:") == 1 and "objects" in err
+
+    def test_stray_element_is_typed_against_the_base_colours(self, tmp_path, capsys):
+        # the elements of a 0-dimensional base are its colours, so the
+        # violation reads as over a base of any dimension
+        obj = json.loads(serialize(terminal_graded(cyclic_monoid_theory(2, bound=1), bound=1)))
+        obj["top_mul"][0][1].append([5, ["x"]])
+        p = tmp_path / "stray.json"
+        p.write_text(json.dumps(obj))
+        code, out, _ = run(["validate", str(p)], capsys)
+        assert code == 1 and "grading-typing at '': expected 'base colour', got 5" in out
 
     @pytest.mark.parametrize(
         "argv",

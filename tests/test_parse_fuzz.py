@@ -3,8 +3,9 @@
 Byte flips and truncations of small golden files must either parse to a
 presentation that round-trips through ``serialize`` or raise
 ``FormatError``, as the whole-tree route in ``oracles`` does, and
-``htk fmt`` on them must exit 0 or 2 without an exception.  The example counts keep the suite's time nearly unchanged;
-``derandomize`` makes every run try the same inputs.
+``htk fmt`` on them must exit 0 or 2 and ``htk validate`` 0, 1 or 2,
+without an exception.  The example counts keep the suite's time nearly
+unchanged; ``derandomize`` makes every run try the same inputs.
 """
 
 import gc
@@ -76,3 +77,12 @@ def test_fmt_exits_zero_or_two(tmp_path_factory, data):
     assert code in (0, 2)
     if code == 0:
         assert out.read_text(encoding="utf-8") == serialize(parse(data.decode("utf-8")))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated())
+def test_validate_exits_zero_one_or_two(tmp_path_factory, data):
+    # at bound 1, so that a flipped arity_bound cannot make the check huge
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path), "--bound", "1"]) in (0, 1, 2)

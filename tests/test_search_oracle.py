@@ -81,7 +81,7 @@ def oracle_morphisms(S, T, bound=None):
         items = []
         for key in sorted(table, key=repr):
             ak, skey = key
-            lay = layout(_arity_of_key(S, d, ak))
+            lay = layout(_arity_of_key(ak, S.arity_bound))
             asg = key_assignment(lay.spec, skey)
             items.extend((ak, skey, lab, lay, asg) for lab in table[key])
 
