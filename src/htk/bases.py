@@ -14,7 +14,11 @@ Two skeletons are tabulated.  :func:`bord1_skeleton` has words of
 oriented points as objects and path components of one-dimensional
 bordisms (intervals and circles) as morphism components.
 :func:`cocorr_fin_skeleton` has finite sets as objects and one-vertex
-blocks of finite-set cospans as components.
+blocks of finite-set cospans as components.  Each builds its own hom
+tables and hands a pairwise composite rule to one tabulator
+(:func:`_skeleton`), and the category laws of a skeleton and of a
+finite category (:func:`validate_category`) are checked by one helper
+(:func:`_category_laws`).
 
 A theory graded by such a base (:class:`BGradedOneTheory`) assigns
 colour sets to the indecomposable objects and label sets to the
@@ -35,7 +39,7 @@ of objects of C exactly when every isomorphism in C is an identity.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice, permutations, product
-from math import prod
+from math import inf, prod
 
 from .theory import POINT, ValidationReport, Violation
 
@@ -59,42 +63,59 @@ class CategoryPresentation:
     compose: dict
 
 
-def validate_category(C):
-    """Exhaustive identity/closure/associativity check on a finite category."""
+def _category_laws(objects, hom, identity, compose, assoc_cap):
+    """Identity, composite-typing, unit and associativity violations of
+    hom tables with a composition table that may be partial.
+
+    Associativity walks the tabulated composites in insertion order and
+    checks each instance whose composites are all tabulated; it stops at
+    the first composite reached after more than ``assoc_cap`` instances.
+    """
     v = []
-    for x in C.objects:
-        i = C.identity.get(x)
-        if i is None or i not in C.hom.get((x, x), ()):
-            v.append(Violation("identity", (x, x), x, "identity arrow", i))
-    arrows = [(x, y, f) for (x, y), fs in C.hom.items() for f in fs]
-    for x, y, f in arrows:
-        for z in C.objects:
-            for g in C.hom.get((y, z), ()):
-                if ((x, y, z), (f, g)) not in C.compose:
-                    v.append(Violation("closure", (x, y, z), (f, g), "composite", None))
-                elif C.compose[((x, y, z), (f, g))] not in C.hom.get((x, z), ()):
-                    v.append(
-                        Violation(
-                            "typing", (x, y, z), (f, g), "arrow in hom",
-                            C.compose[((x, y, z), (f, g))],
-                        )
-                    )
-    for x, y, f in arrows:
-        ix, iy = C.identity.get(x), C.identity.get(y)
-        if ix is not None and C.compose.get(((x, x, y), (ix, f))) != f:
-            v.append(Violation("unit", (x, y), f, f, C.compose.get(((x, x, y), (ix, f)))))
-        if iy is not None and C.compose.get(((x, y, y), (f, iy))) != f:
-            v.append(Violation("unit", (x, y), f, f, C.compose.get(((x, y, y), (f, iy)))))
-    if not v:
-        for x, y, f in arrows:
+    for x in objects:
+        i = identity.get(x)
+        if i is None or i not in hom.get((x, x), ()):
+            v.append(Violation("identity", (x, x), x, "identity morphism", i))
+
+    for ((a, b, c), (f, g)), h in compose.items():
+        if f not in hom.get((a, b), ()) or g not in hom.get((b, c), ()) or h not in hom.get((a, c), ()):
+            v.append(Violation("composition-typing", (a, b, c), (f, g), "tabulated morphisms", h))
+
+    for (a, b), fs in hom.items():
+        ia, ib = identity.get(a), identity.get(b)
+        for f in fs:
+            if ia is not None and compose.get(((a, a, b), (ia, f))) != f:
+                v.append(Violation("unit", (a, b), f, f, compose.get(((a, a, b), (ia, f)))))
+            if ib is not None and compose.get(((a, b, b), (f, ib))) != f:
+                v.append(Violation("unit", (a, b), f, f, compose.get(((a, b, b), (f, ib)))))
+
+    checked = 0
+    for ((a, b, c), (f, g)), fg in compose.items():
+        if checked > assoc_cap:
+            break
+        for d in objects:
+            for k in hom.get((c, d), ()):
+                gk = compose.get(((b, c, d), (g, k)))
+                l = compose.get(((a, c, d), (fg, k)))
+                if gk is None:
+                    continue
+                r = compose.get(((a, b, d), (f, gk)))
+                checked += 1
+                if l is not None and r is not None and l != r:
+                    v.append(Violation("associativity", (a, b, c, d), (f, g, k), l, r))
+    return v
+
+
+def validate_category(C):
+    """Exhaustive closure/identity/unit/associativity check on a finite category."""
+    v = []
+    for (x, y), fs in C.hom.items():
+        for f in fs:
             for z in C.objects:
                 for g in C.hom.get((y, z), ()):
-                    for w in C.objects:
-                        for h in C.hom.get((z, w), ()):
-                            lhs = C.compose[((x, z, w), (C.compose[((x, y, z), (f, g))], h))]
-                            rhs = C.compose[((x, y, w), (f, C.compose[((y, z, w), (g, h))]))]
-                            if lhs != rhs:
-                                v.append(Violation("associativity", (x, y, z, w), (f, g, h), lhs, rhs))
+                    if ((x, y, z), (f, g)) not in C.compose:
+                        v.append(Violation("closure", (x, y, z), (f, g), "composite", None))
+    v += _category_laws(C.objects, C.hom, C.identity, C.compose, inf)
     return ValidationReport("pass" if not v else "fail", tuple(v), ())
 
 
@@ -301,6 +322,49 @@ def tensor_morphisms(src1, tgt1, f1, src2, tgt2, f2):
     return src, tgt, tuple(sorted(comps))
 
 
+def _skeleton(gens, objects, morphisms, kind, rule):
+    """A skeleton tabulated from its hom-sets and a composite rule.
+
+    The indecomposables are the one-component morphisms, and an
+    object's identity is one ``kind`` component per slot.
+    ``rule(a, b, c, f, g)`` gives the composite of ``f: a -> b`` and
+    ``g: b -> c``, or None past the skeleton's bound, where the table
+    stays partial.
+    """
+    ind = {detached_shape(s, t, m[0]): (s, t) for (s, t), ms in morphisms.items() for m in ms if len(m) == 1}
+    identity = {obj: tuple((kind, (i,), (i,)) for i in range(len(obj))) for obj in objects}
+    compose = {}
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                for f in morphisms[(a, b)]:
+                    for g in morphisms[(b, c)]:
+                        h = rule(a, b, c, f, g)
+                        if h is not None:
+                            compose[((a, b, c), (f, g))] = h
+    return BasePresentation(gens, objects, morphisms, ind, identity, compose)
+
+
+def _classes(items, links):
+    """The classes of ``items`` under the equivalence the pairs in
+    ``links`` generate (union-find).  Each class lists its members in
+    ``items`` order; classes come in the order of their first members."""
+    parent = {i: i for i in items}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    classes = {}
+    for i in items:
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
 # -- oriented points and one-dimensional bordisms ---------------------------
 
 
@@ -469,31 +533,13 @@ def bord1_skeleton(max_points=2, max_circles=1):
                         found.add(tuple(sorted(comps + [circ] * n)))
             morphisms[(src, tgt)] = tuple(sorted(found))
 
-    ind = {}
-    for (s, t), ms in morphisms.items():
-        for m in ms:
-            if len(m) == 1:
-                ind[detached_shape(s, t, m[0])] = (s, t)
+    def rule(a, b, c, f, g):
+        chains, loops = _bord_chains(a, b, c, f, g)
+        circles = len(loops) + sum(1 for x in f + g if x[0] == "o")
+        if circles <= max_circles:
+            return tuple(sorted([_chain_end(path) for path in chains] + [circ] * circles))
 
-    identity = {
-        obj: tuple(sorted(("i", (i,), (i,)) for i in range(len(obj)))) for obj in objects
-    }
-
-    compose = {}
-    for A in objects:
-        for B in objects:
-            for C in objects:
-                for fm in morphisms[(A, B)]:
-                    for gm in morphisms[(B, C)]:
-                        chains, loops = _bord_chains(A, B, C, fm, gm)
-                        circles = len(loops)
-                        circles += sum(1 for x in fm if x[0] == "o")
-                        circles += sum(1 for x in gm if x[0] == "o")
-                        if circles > max_circles:
-                            continue
-                        h = tuple(sorted([_chain_end(path) for path in chains] + [circ] * circles))
-                        compose[((A, B, C), (fm, gm))] = h
-    return BasePresentation(syms, objects, morphisms, ind, identity, compose)
+    return _skeleton(syms, objects, morphisms, "i", rule)
 
 
 # -- finite sets and their cospans ------------------------------------------
@@ -516,34 +562,11 @@ def _cospan_clusters(f, g):
     Returns a list of ``(f_indices, g_indices, result_component)``
     triples, one per element of the composed middle set.
     """
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for i in range(len(f)):
-        parent[("f", i)] = ("f", i)
-    for j in range(len(g)):
-        parent[("g", j)] = ("g", j)
-    g_by_mid = {}
-    for j, comp in enumerate(g):
-        for m in comp[1]:
-            g_by_mid[m] = j
-    for i, comp in enumerate(f):
-        for m in comp[2]:
-            union(("f", i), ("g", g_by_mid[m]))
-
-    clusters = {}
-    for node in parent:
-        clusters.setdefault(find(node), []).append(node)
+    g_by_mid = {m: j for j, comp in enumerate(g) for m in comp[1]}
+    nodes = [("f", i) for i in range(len(f))] + [("g", j) for j in range(len(g))]
+    links = ((("f", i), ("g", g_by_mid[m])) for i, comp in enumerate(f) for m in comp[2])
     out = []
-    for members in clusters.values():
+    for members in _classes(nodes, links):
         fi = tuple(sorted(i for side, i in members if side == "f"))
         gi = tuple(sorted(j for side, j in members if side == "g"))
         ss = tuple(sorted(s for i in fi for s in f[i][1]))
@@ -582,28 +605,12 @@ def cocorr_fin_skeleton(bound=2):
                     found.add(tuple(sorted(comps + [("c", (), ())] * e)))
             morphisms[(src, tgt)] = tuple(sorted(found))
 
-    ind = {}
-    for (s, t), ms in morphisms.items():
-        for m in ms:
-            if len(m) == 1:
-                ind[detached_shape(s, t, m[0])] = (s, t)
+    def rule(a, b, c, f, g):
+        clusters = _cospan_clusters(f, g)
+        if len(clusters) <= bound:
+            return tuple(sorted(comp for _, _, comp in clusters))
 
-    identity = {
-        obj: tuple(sorted(("c", (i,), (i,)) for i in range(len(obj)))) for obj in objects
-    }
-
-    compose = {}
-    for A in objects:
-        for B in objects:
-            for C in objects:
-                for fm in morphisms[(A, B)]:
-                    for gm in morphisms[(B, C)]:
-                        clusters = _cospan_clusters(fm, gm)
-                        if len(clusters) > bound:
-                            continue
-                        h = tuple(sorted(comp for _, _, comp in clusters))
-                        compose[((A, B, C), (fm, gm))] = h
-    return BasePresentation(("pt",), objects, morphisms, ind, identity, compose)
+    return _skeleton(("pt",), objects, morphisms, "c", rule)
 
 
 def validate_base(B, assoc_cap=200_000):
@@ -637,41 +644,7 @@ def validate_base(B, assoc_cap=200_000):
             if sorted(used_s) != list(range(len(s))) or sorted(used_t) != list(range(len(t))):
                 v.append(Violation("slot-partition", (s, t), m, "each slot once", (used_s, used_t)))
 
-    for obj in B.objects:
-        i = B.identity.get(obj)
-        if i is None or i not in B.morphisms.get((obj, obj), ()):
-            v.append(Violation("identity", (obj, obj), obj, "identity morphism", i))
-
-    for ((a, b, c), (f, g)), h in B.compose.items():
-        if (
-            f not in B.morphisms.get((a, b), ())
-            or g not in B.morphisms.get((b, c), ())
-            or h not in B.morphisms.get((a, c), ())
-        ):
-            v.append(Violation("composition-typing", (a, b, c), (f, g), "tabulated morphisms", h))
-
-    for (a, b), ms in B.morphisms.items():
-        ia, ib = B.identity.get(a), B.identity.get(b)
-        for f in ms:
-            if ia is not None and B.compose.get(((a, a, b), (ia, f))) != f:
-                v.append(Violation("unit", (a, b), f, f, B.compose.get(((a, a, b), (ia, f)))))
-            if ib is not None and B.compose.get(((a, b, b), (f, ib))) != f:
-                v.append(Violation("unit", (a, b), f, f, B.compose.get(((a, b, b), (f, ib)))))
-
-    checked = 0
-    for ((a, b, c), (f, g)), fg in B.compose.items():
-        if checked > assoc_cap:
-            break
-        for d in B.objects:
-            for k in B.morphisms.get((c, d), ()):
-                gk = B.compose.get(((b, c, d), (g, k)))
-                l = B.compose.get(((a, c, d), (fg, k)))
-                if gk is None:
-                    continue
-                r = B.compose.get(((a, b, d), (f, gk)))
-                checked += 1
-                if l is not None and r is not None and l != r:
-                    v.append(Violation("associativity", (a, b, c, d), (f, g, k), l, r))
+    v += _category_laws(B.objects, B.morphisms, B.identity, B.compose, assoc_cap)
 
     # monoidal closure: the slot-shifted union of two morphisms is tabulated,
     # except where its component count exceeds anything the bounded hom-set
@@ -750,11 +723,10 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
         v.append(Violation("colour-keys", None, set(X.colours), set(B.ind_objects), set(X.colours)))
         return ValidationReport("fail", tuple(v), ())
 
-    expected_keys = set()
-    for shape, (so, to) in B.ind_morphisms.items():
-        for cs in product(*(X.colours[s] for s in so)):
-            for ct in product(*(X.colours[t] for t in to)):
-                expected_keys.add((shape, cs, ct))
+    def colourings(*objs):
+        return product(*(product(*(X.colours[s] for s in obj)) for obj in objs))
+
+    expected_keys = {(shape, cs, ct) for shape, (so, to) in B.ind_morphisms.items() for cs, ct in colourings(so, to)}
     missing = expected_keys - set(X.multimaps)
     stray = set(X.multimaps) - expected_keys
     for key in sorted(missing, key=repr):
@@ -776,12 +748,7 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
 
     for inst, h in B.compose.items():
         (a, b, c), (f, g) = inst
-        colit = product(
-            product(*(X.colours[s] for s in a)),
-            product(*(X.colours[s] for s in b)),
-            product(*(X.colours[s] for s in c)),
-        )
-        for ca, cb, cc in islice(colit, colour_cap):
+        for ca, cb, cc in islice(colourings(a, b, c), colour_cap):
             ff = families(a, b, ca, cb, f)
             gf = families(b, c, cb, cc, g)
             if ff is None or gf is None:
@@ -807,13 +774,7 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
                     continue
                 if ((a, b, d), (f, gk)) not in B.compose:
                     continue
-                colit = product(
-                    product(*(X.colours[s] for s in a)),
-                    product(*(X.colours[s] for s in b)),
-                    product(*(X.colours[s] for s in c)),
-                    product(*(X.colours[s] for s in d)),
-                )
-                for ca, cb, cc, cd in islice(colit, 4):
+                for ca, cb, cc, cd in islice(colourings(a, b, c, d), 4):
                     ff = families(a, b, ca, cb, f)
                     gf = families(b, c, cb, cc, g)
                     kf = families(c, d, cc, cd, k)
@@ -904,6 +865,10 @@ def properad_adapter(P, bound=2, base=None):
             for ct in product(P.colours, repeat=len(to)):
                 multimaps[(shape, cs, ct)] = tuple(P.operations.get((cs, ct), ()))
 
+    def parts(m, ks, cs, ct, labs):
+        """The (in_cols, out_cols, label) parts of the components ``ks`` of a layer."""
+        return tuple((tuple(cs[i] for i in m[k][1]), tuple(ct[j] for j in m[k][2]), labs[k]) for k in ks)
+
     def comp(inst, cols, lf, lg):
         (a, b, c), (f, g) = inst
         h = B.compose.get(inst)
@@ -912,22 +877,8 @@ def properad_adapter(P, bound=2, base=None):
         ca, cb, cc = cols
         labelled = []
         for fi, gi, res in _cospan_clusters(f, g):
-            fparts = tuple(
-                (
-                    tuple(ca[i] for i in f[k][1]),
-                    tuple(cb[j] for j in f[k][2]),
-                    lf[k],
-                )
-                for k in fi
-            )
-            gparts = tuple(
-                (
-                    tuple(cb[i] for i in g[k][1]),
-                    tuple(cc[j] for j in g[k][2]),
-                    lg[k],
-                )
-                for k in gi
-            )
+            fparts = parts(f, fi, ca, cb, lf)
+            gparts = parts(g, gi, cb, cc, lg)
             sig = (tuple(ca[i] for i in res[1]), tuple(cc[j] for j in res[2]))
             lab = P.compose_rule(fparts, gparts, sig)
             if lab is None:
@@ -958,31 +909,26 @@ def properad_tables(X):
         if shape[0] == "c":
             ops[(cs, ct)] = tuple(labs)
 
+    def layer(parts):
+        """A layer's parts laid out side by side as a base morphism, with
+        its labels in the order of the morphism's components."""
+        so = to = 0
+        comps = []
+        for ic, oc, _ in parts:
+            comps.append(("c", tuple(range(so, so + len(ic))), tuple(range(to, to + len(oc)))))
+            so += len(ic)
+            to += len(oc)
+        m = tuple(sorted(comps))
+        return m, tuple(parts[comps.index(comp)][2] for comp in m)
+
     def rule(fparts, gparts, sig):
         # lay the two layers out as base morphisms and delegate
-        a = ("pt",) * sum(len(p[0]) for p in fparts)
-        b = ("pt",) * sum(len(p[1]) for p in fparts)
-        c = ("pt",) * len(sig[1])
-        so = to = 0
-        f = []
-        for ic, oc, _ in fparts:
-            f.append(("c", tuple(range(so, so + len(ic))), tuple(range(to, to + len(oc)))))
-            so += len(ic)
-            to += len(oc)
-        so = to = 0
-        g = []
-        for ic, oc, _ in gparts:
-            g.append(("c", tuple(range(so, so + len(ic))), tuple(range(to, to + len(oc)))))
-            so += len(ic)
-            to += len(oc)
-        fm, gm = tuple(sorted(f)), tuple(sorted(g))
-        inst = ((a, b, c), (fm, gm))
-        if inst not in B.compose or len(B.compose[inst]) != 1:
-            return None
+        (fm, lf), (gm, lg) = layer(fparts), layer(gparts)
         ca = tuple(x for ic, _, _ in fparts for x in ic)
         cb = tuple(x for _, oc, _ in fparts for x in oc)
-        lf = tuple(lab for comp in fm for (icc, occ, lab) in [fparts[f.index(comp)]])
-        lg = tuple(lab for comp in gm for (icc, occ, lab) in [gparts[g.index(comp)]])
+        inst = ((("pt",) * len(ca), ("pt",) * len(cb), ("pt",) * len(sig[1])), (fm, gm))
+        if inst not in B.compose or len(B.compose[inst]) != 1:
+            return None
         out = X.composition(inst, (ca, cb, sig[1]), lf, lg)
         return out[0] if out else None
 
@@ -1004,32 +950,16 @@ def _loop_classes(C):
     from pairs to canonical class representatives.
     """
     items = [(x, e) for x in C.objects for e in C.hom.get((x, x), ())]
-    parent = {i: i for i in items}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in C.objects:
-        for y in C.objects:
-            for f in C.hom.get((x, y), ()):
-                for g in C.hom.get((y, x), ()):
-                    gf = C.compose[((x, y, x), (f, g))]
-                    fg = C.compose[((y, x, y), (g, f))]
-                    a, b = find((x, gf)), find((y, fg))
-                    if a != b:
-                        parent[a] = b
-    reps = {}
-    for i in items:
-        root = find(i)
-        reps.setdefault(root, []).append(i)
+    links = (
+        ((x, C.compose[((x, y, x), (f, g))]), (y, C.compose[((y, x, y), (g, f))]))
+        for x in C.objects
+        for y in C.objects
+        for f in C.hom.get((x, y), ())
+        for g in C.hom.get((y, x), ())
+    )
     cls = {}
-    for root, members in reps.items():
-        rep = min(members, key=repr)
-        for m in members:
-            cls[m] = rep
+    for members in _classes(items, links):
+        cls.update(dict.fromkeys(members, min(members, key=repr)))
     return cls
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from operator import itemgetter
 
 # Only what ``parse`` and ``serialize`` need for a plain theory is
@@ -151,14 +152,55 @@ def _untable(entries):
     return dict(_entries(entries))
 
 
-def _keyed(table, d):
+@lru_cache(maxsize=None)
+def _key_shape(akey, d, lower, bound):
+    """The number of parts of a whole (or lower) boundary key of the
+    d-arity ``akey`` and of colours in its first part, read off the arity
+    alone; the count is None past ``bound``, where no bounded table
+    reaches and every verb that lays out keys refuses.  ``ValueError``
+    if :func:`arity_of_key` does not read ``akey`` back as a d-arity."""
+    a = arity_of_key(akey)
+    if a.k != d:
+        raise ValueError(f"not the key of a {d}-arity: {akey!r}")
+    parts = (0 if lower else 1) if d == 1 else (2 if lower else 4)
+    if max((a.top,) + sum((lv.sizes for lv in a.levels), ())) > bound:
+        return parts, None
+    return parts, a.top + 1 if d == 1 else sum(a.levels[0].sizes)
+
+
+def _shaped(key, parts, colours, pairs):
+    """Whether a boundary key has ``parts`` parts, ``colours`` colours in
+    the first (any number if None), lists where lists belong and, with
+    ``pairs``, a [degree, element] pair at every label position.  Lower
+    levels and chains need a layout to count, so they are not counted."""
+    if type(key) is not tuple or len(key) != parts:
+        return False
+    if parts and (type(key[0]) is not tuple or colours is not None and len(key[0]) != colours):
+        return False
+    if parts > 1:
+        if type(key[1]) is not tuple or parts > 2 and type(key[2]) is not tuple:
+            return False
+        for group in key[1]:
+            if type(group) is not tuple:
+                return False
+    if not pairs:
+        return True
+    groups = key[:1] + (key[1] if parts > 1 else ()) + ((key[2], key[3:]) if parts > 2 else ())
+    return all(type(x) is tuple and len(x) == 2 for group in groups for x in group)
+
+
+def _keyed(table, d, bound, lower=False, pairs=False):
     """``table``, checked to be keyed by dimension-d arities: each key a
-    pair whose arity key is the canonical key of a dimension-d arity
-    (:func:`arity_of_key` reads it back); at dimension 0 the one key
-    ``["", []]``."""
+    pair of an arity key and a boundary key (a lower key if ``lower``)
+    of the shape that arity implies (:func:`_key_shape`, :func:`_shaped`);
+    at dimension 0 the one key ``["", []]``."""
     for key in table:
         try:
-            ok = key == DIM0_KEY if d == 0 else type(key) is tuple and len(key) == 2 and arity_of_key(key[0]).k == d
+            ok = (
+                key == DIM0_KEY
+                if d == 0
+                else type(key) is tuple and len(key) == 2 and _shaped(key[1], *_key_shape(key[0], d, lower, bound), pairs)
+            )
         except ValueError:
             ok = False
         if not ok:
@@ -222,14 +264,15 @@ def _strata_entries(entries, dims):
 
 def obj_to_theory(obj):
     _check_header(obj)
+    bound = obj["arity_bound"]
     return TheoryPresentation(
         obj["dimension"],
         obj["variance"],
         obj["colour_depth"],
-        obj["arity_bound"],
-        {d: _keyed(_listed(_untable(entries)), d) for d, entries in obj["strata"]},
-        _keyed(_listed(_untable(obj["top_mul"])), obj["dimension"]),
-        _keyed(_unnested(obj["composition"]), obj["dimension"] + 1),
+        bound,
+        {d: _keyed(_listed(_untable(entries)), d, bound) for d, entries in obj["strata"]},
+        _keyed(_listed(_untable(obj["top_mul"])), obj["dimension"], bound),
+        _keyed(_unnested(obj["composition"]), obj["dimension"] + 1, bound, lower=True),
     )
 
 
@@ -249,15 +292,16 @@ def obj_to_graded(obj):
     from .graded import GradedTheoryPresentation
 
     base = obj_to_theory(obj["base"])
+    bound = base.arity_bound
     objects = _listed(_untable(obj["objects"]))
     if objects and base.n == 0:
         raise FormatError("a graded file over a 0-dimensional base keeps its fibres in top_mul, so its objects must be empty")
     return GradedTheoryPresentation(
         base,
         objects,
-        {d: _keyed(_fibred(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
-        _keyed(_fibred(obj["top_mul"]), base.n),
-        _keyed(_unnested(obj["composition"]), base.n + 1),
+        {d: _keyed(_fibred(entries), d, bound, pairs=True) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
+        _keyed(_fibred(obj["top_mul"]), base.n, bound, pairs=True),
+        _keyed(_unnested(obj["composition"]), base.n + 1, bound, lower=True, pairs=True),
     )
 
 

@@ -111,8 +111,6 @@ class GradedTheoryPresentation:
         return {DIM0_KEY: self.objects} if d == 0 else self.strata.get(d, {})
 
     def fibre(self, d, akey="", tkey=(), v=None):
-        if d == 0:
-            akey, tkey = DIM0_KEY
         return self.table(d).get((akey, tkey), {}).get(v, ())
 
 

@@ -99,8 +99,6 @@ class TheoryPresentation:
         return self.top_mul if d == self.n else self.strata[d]
 
     def label_set(self, d, akey="", tkey=()):
-        if d == 0:
-            akey, tkey = DIM0_KEY
         return self.table(d).get((akey, tkey), ())
 
 
@@ -593,8 +591,6 @@ class TheoryMorphism:
     actions: dict
 
     def act(self, d, akey, tkey, label):
-        if d == 0:
-            akey, tkey = DIM0_KEY
         return self.actions[d][(akey, tkey)][label]
 
 
@@ -663,8 +659,6 @@ class _VarIndex:
         self.index[(d, key, label)] = len(self.index)
 
     def act(self, d, akey, tkey, label):
-        if d == 0:
-            akey, tkey = DIM0_KEY
         return self.index[(d, (akey, tkey), label)]
 
 

@@ -1,5 +1,5 @@
-"""The plain routes that compiled plans, the one-pass codec and the
-one key builder pair replaced.
+"""The plain routes that compiled plans, the one-pass codec, the one key
+builder pair and the shared finite-category routines replaced.
 
 Differential tests compare the library against these:
 
@@ -19,20 +19,41 @@ Differential tests compare the library against these:
 * ``dec``: the recursive decoder of JSON values;
 * ``parse``: ``json.loads`` of the whole text, then ``dec`` on each
   table the presentation reads, so the list tree of the whole file
-  exists while its tuple copy is built;
+  exists while its tuple copy is built; its boundary-key check counts
+  colours off each arity's concrete bottom level;
 * ``deloop``: keys V's tables through one lambda call per flattened
   address instead of reading key addresses mapped once per arity;
 * ``to_projection_0``, ``from_projection_0``, ``graded_from_pairs_0``,
   ``relabel_graded_0``, ``pullback_0`` and ``enumerate_graded_0``: the
   graded routes over a 0-dimensional base that kept its element fibres
   apart, where ``graded`` now runs dimension 0 through the same code as
-  dimension 1.
+  dimension 1;
+* ``validate_category`` and ``validate_base``: each law checked by its
+  own loops, where ``bases`` checks the laws of a category and of a
+  skeleton through one helper (``validate_category`` here keeps its own
+  wording, ``identity arrow`` and ``typing``, and walks associativity
+  over composable triples only when nothing else failed);
+* ``bord1_skeleton`` and ``cocorr_fin_skeleton``: each tabulates its own
+  indecomposables, identities and composites, where ``bases`` hands a
+  composite rule to one tabulator;
+* ``cospan_clusters`` and ``loop_classes``: each with its own
+  union-find, where ``bases`` shares one (``_classes``).
 """
 
 import json
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 from htk.arity import arity_of_key, canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
+from htk.bases import (
+    BasePresentation,
+    _bord_chains,
+    _chain_end,
+    _flow,
+    _set_partitions,
+    detached_shape,
+    tensor_morphisms,
+    tensor_objects,
+)
 from htk.cli import FORMAT, FormatError
 from htk.constructions import _fl_tau
 from htk.graded import GradedTheoryPresentation
@@ -42,6 +63,7 @@ from htk.theory import (
     SKIP,
     TheoryMorphism,
     TheoryPresentation,
+    ValidationReport,
     Violation,
     _coloured,
     build_theory,
@@ -447,13 +469,43 @@ def _unnested(entries):
     return {dec(k): _untable(v) for k, v in _entries(entries)}
 
 
-def _keyed(table, d):
+def _boundary_shaped(bkey, a, bound, lower, pairs):
+    """Whether ``bkey`` is shaped as a whole (or, if ``lower``, lower)
+    boundary key of the arity ``a``; the colours are counted off its
+    concrete bottom level, and only for an arity within ``bound``."""
+    if a.k == 1 and lower:
+        return bkey == ()
+    want = 1 if a.k == 1 else 2 if lower else 4
+    if not isinstance(bkey, tuple) or len(bkey) != want or not isinstance(bkey[0], tuple):
+        return False
+    if a.top <= bound and all(s <= bound for lv in a.levels for s in lv.sizes):
+        count = a.top + 1 if a.k == 1 else sum(len(e) for e in concrete(a).levels[0].entries)
+        if len(bkey[0]) != count:
+            return False
+    labels = list(bkey[0])
+    if want > 1:
+        if not isinstance(bkey[1], tuple) or not all(isinstance(g, tuple) for g in bkey[1]):
+            return False
+        labels += [x for g in bkey[1] for x in g]
+    if want > 2:
+        if not isinstance(bkey[2], tuple):
+            return False
+        labels += list(bkey[2]) + [bkey[3]]
+    return not pairs or all(isinstance(x, tuple) and len(x) == 2 for x in labels)
+
+
+def _keyed(table, d, bound, lower=False, pairs=False):
     for key in table:
         if d == 0:
             ok = key == ("", ())
         else:
             try:
-                ok = isinstance(key, tuple) and len(key) == 2 and arity_of_key(key[0]).k == d
+                ok = (
+                    isinstance(key, tuple)
+                    and len(key) == 2
+                    and arity_of_key(key[0]).k == d
+                    and _boundary_shaped(key[1], arity_of_key(key[0]), bound, lower, pairs)
+                )
             except ValueError:
                 ok = False
         if not ok:
@@ -482,14 +534,15 @@ def _obj_to_theory(obj):
     if obj["variance"] not in (SYMMETRIC, PLANAR):
         raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
     _strata_entries(obj["strata"], range(obj["dimension"]))
+    bound = obj["arity_bound"]
     return TheoryPresentation(
         obj["dimension"],
         obj["variance"],
         obj["colour_depth"],
-        obj["arity_bound"],
-        {d: _keyed(_lists(_untable(entries)), d) for d, entries in obj["strata"]},
-        _keyed(_lists(_untable(obj["top_mul"])), obj["dimension"]),
-        _keyed(_unnested(obj["composition"]), obj["dimension"] + 1),
+        bound,
+        {d: _keyed(_lists(_untable(entries)), d, bound) for d, entries in obj["strata"]},
+        _keyed(_lists(_untable(obj["top_mul"])), obj["dimension"], bound),
+        _keyed(_unnested(obj["composition"]), obj["dimension"] + 1, bound, lower=True),
     )
 
 
@@ -505,9 +558,12 @@ def _obj_to_graded(obj):
     return GradedTheoryPresentation(
         base,
         objects,
-        {d: _keyed(fibred(entries), d) for d, entries in _strata_entries(obj["strata"], range(1, base.n))},
-        _keyed(fibred(obj["top_mul"]), base.n),
-        _keyed(_unnested(obj["composition"]), base.n + 1),
+        {
+            d: _keyed(fibred(entries), d, base.arity_bound, pairs=True)
+            for d, entries in _strata_entries(obj["strata"], range(1, base.n))
+        },
+        _keyed(fibred(obj["top_mul"]), base.n, base.arity_bound, pairs=True),
+        _keyed(_unnested(obj["composition"]), base.n + 1, base.arity_bound, lower=True, pairs=True),
     )
 
 
@@ -527,3 +583,289 @@ def parse(text):
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed presentation: {e}") from None
     raise FormatError(f"unknown kind {obj.get('kind')!r}")
+
+
+# ---------------------------------------------------------------------------
+# finite categories and base skeletons
+
+
+def validate_category(C):
+    """A drop-in for ``bases.validate_category``: its own walks, the
+    associativity walk over every composable triple of arrows, run only
+    when nothing else failed."""
+    v = []
+    for x in C.objects:
+        i = C.identity.get(x)
+        if i is None or i not in C.hom.get((x, x), ()):
+            v.append(Violation("identity", (x, x), x, "identity arrow", i))
+    arrows = [(x, y, f) for (x, y), fs in C.hom.items() for f in fs]
+    for x, y, f in arrows:
+        for z in C.objects:
+            for g in C.hom.get((y, z), ()):
+                if ((x, y, z), (f, g)) not in C.compose:
+                    v.append(Violation("closure", (x, y, z), (f, g), "composite", None))
+                elif C.compose[((x, y, z), (f, g))] not in C.hom.get((x, z), ()):
+                    v.append(Violation("typing", (x, y, z), (f, g), "arrow in hom", C.compose[((x, y, z), (f, g))]))
+    for x, y, f in arrows:
+        ix, iy = C.identity.get(x), C.identity.get(y)
+        if ix is not None and C.compose.get(((x, x, y), (ix, f))) != f:
+            v.append(Violation("unit", (x, y), f, f, C.compose.get(((x, x, y), (ix, f)))))
+        if iy is not None and C.compose.get(((x, y, y), (f, iy))) != f:
+            v.append(Violation("unit", (x, y), f, f, C.compose.get(((x, y, y), (f, iy)))))
+    if not v:
+        for x, y, f in arrows:
+            for z in C.objects:
+                for g in C.hom.get((y, z), ()):
+                    for w in C.objects:
+                        for h in C.hom.get((z, w), ()):
+                            lhs = C.compose[((x, z, w), (C.compose[((x, y, z), (f, g))], h))]
+                            rhs = C.compose[((x, y, w), (f, C.compose[((y, z, w), (g, h))]))]
+                            if lhs != rhs:
+                                v.append(Violation("associativity", (x, y, z, w), (f, g, h), lhs, rhs))
+    return ValidationReport("pass" if not v else "fail", tuple(v), ())
+
+
+def validate_base(B, assoc_cap=200_000):
+    """A drop-in for ``bases.validate_base`` with every law checked inline."""
+    v = []
+    genset = set(B.ind_objects)
+    objset = set(B.objects)
+    for obj in B.objects:
+        if tuple(sorted(obj)) != obj or not set(obj) <= genset:
+            v.append(Violation("object-form", obj, obj, "sorted generator word", obj))
+    maxlen = max((len(o) for o in B.objects), default=0)
+    for o1 in B.objects:
+        for o2 in B.objects:
+            if len(o1) + len(o2) <= maxlen and tensor_objects(o1, o2)[0] not in objset:
+                v.append(Violation("object-closure", (o1, o2), tensor_objects(o1, o2)[0], "object", None))
+
+    for (s, t), ms in B.morphisms.items():
+        if len(set(ms)) != len(ms):
+            v.append(Violation("unique-decomposition", (s, t), ms, "distinct morphisms", None))
+        for m in ms:
+            if tuple(sorted(m)) != m:
+                v.append(Violation("canonical-form", (s, t), m, tuple(sorted(m)), m))
+            used_s, used_t = [], []
+            for comp in m:
+                shape = detached_shape(s, t, comp)
+                if B.ind_morphisms.get(shape) is None:
+                    v.append(Violation("component-shape", (s, t), comp, "indecomposable", shape))
+                used_s.extend(comp[1])
+                used_t.extend(comp[2])
+            if sorted(used_s) != list(range(len(s))) or sorted(used_t) != list(range(len(t))):
+                v.append(Violation("slot-partition", (s, t), m, "each slot once", (used_s, used_t)))
+
+    for obj in B.objects:
+        i = B.identity.get(obj)
+        if i is None or i not in B.morphisms.get((obj, obj), ()):
+            v.append(Violation("identity", (obj, obj), obj, "identity morphism", i))
+
+    for ((a, b, c), (f, g)), h in B.compose.items():
+        if (
+            f not in B.morphisms.get((a, b), ())
+            or g not in B.morphisms.get((b, c), ())
+            or h not in B.morphisms.get((a, c), ())
+        ):
+            v.append(Violation("composition-typing", (a, b, c), (f, g), "tabulated morphisms", h))
+
+    for (a, b), ms in B.morphisms.items():
+        ia, ib = B.identity.get(a), B.identity.get(b)
+        for f in ms:
+            if ia is not None and B.compose.get(((a, a, b), (ia, f))) != f:
+                v.append(Violation("unit", (a, b), f, f, B.compose.get(((a, a, b), (ia, f)))))
+            if ib is not None and B.compose.get(((a, b, b), (f, ib))) != f:
+                v.append(Violation("unit", (a, b), f, f, B.compose.get(((a, b, b), (f, ib)))))
+
+    checked = 0
+    for ((a, b, c), (f, g)), fg in B.compose.items():
+        if checked > assoc_cap:
+            break
+        for d in B.objects:
+            for k in B.morphisms.get((c, d), ()):
+                gk = B.compose.get(((b, c, d), (g, k)))
+                l = B.compose.get(((a, c, d), (fg, k)))
+                if gk is None:
+                    continue
+                r = B.compose.get(((a, b, d), (f, gk)))
+                checked += 1
+                if l is not None and r is not None and l != r:
+                    v.append(Violation("associativity", (a, b, c, d), (f, g, k), l, r))
+
+    for (s1, t1), ms1 in B.morphisms.items():
+        for (s2, t2), ms2 in B.morphisms.items():
+            if len(s1) + len(s2) > maxlen or len(t1) + len(t2) > maxlen:
+                continue
+            for f1 in ms1[:2]:
+                for f2 in ms2[:2]:
+                    src, tgt, fm = tensor_morphisms(s1, t1, f1, s2, t2, f2)
+                    pool = B.morphisms.get((src, tgt), ())
+                    cap = max((len(m) for m in pool), default=0)
+                    if fm not in pool and len(fm) <= cap:
+                        v.append(Violation("tensor-closure", (src, tgt), (f1, f2), "morphism", fm))
+    return ValidationReport("pass" if not v else "fail", tuple(v), ())
+
+
+def bord1_skeleton(max_points=2, max_circles=1):
+    """A drop-in for ``bases.bord1_skeleton`` that tabulates its own
+    indecomposables, identities and composites."""
+    syms = ("d", "u")
+    objects = tuple(obj for n in range(max_points + 1) for obj in combinations_with_replacement(syms, n))
+    circ = ("o", (), ())
+
+    morphisms = {}
+    for src in objects:
+        for tgt in objects:
+            ins = [("s", i) for i, s in enumerate(src) if _flow("s", s) == "in"]
+            ins += [("t", j) for j, s in enumerate(tgt) if _flow("t", s) == "in"]
+            outs = [("s", i) for i, s in enumerate(src) if _flow("s", s) == "out"]
+            outs += [("t", j) for j, s in enumerate(tgt) if _flow("t", s) == "out"]
+            found = set()
+            if len(ins) == len(outs):
+                for perm in permutations(outs):
+                    comps = []
+                    for (side1, i1), (side2, i2) in zip(ins, perm):
+                        ss = tuple(sorted(i for s, i in ((side1, i1), (side2, i2)) if s == "s"))
+                        ts = tuple(sorted(i for s, i in ((side1, i1), (side2, i2)) if s == "t"))
+                        comps.append(("i", ss, ts))
+                    for n in range(max_circles + 1):
+                        found.add(tuple(sorted(comps + [circ] * n)))
+            morphisms[(src, tgt)] = tuple(sorted(found))
+
+    ind = {}
+    for (s, t), ms in morphisms.items():
+        for m in ms:
+            if len(m) == 1:
+                ind[detached_shape(s, t, m[0])] = (s, t)
+
+    identity = {obj: tuple(sorted(("i", (i,), (i,)) for i in range(len(obj)))) for obj in objects}
+
+    compose = {}
+    for A in objects:
+        for B in objects:
+            for C in objects:
+                for fm in morphisms[(A, B)]:
+                    for gm in morphisms[(B, C)]:
+                        chains, loops = _bord_chains(A, B, C, fm, gm)
+                        circles = len(loops)
+                        circles += sum(1 for x in fm if x[0] == "o")
+                        circles += sum(1 for x in gm if x[0] == "o")
+                        if circles > max_circles:
+                            continue
+                        h = tuple(sorted([_chain_end(path) for path in chains] + [circ] * circles))
+                        compose[((A, B, C), (fm, gm))] = h
+    return BasePresentation(syms, objects, morphisms, ind, identity, compose)
+
+
+def cospan_clusters(f, g):
+    """A drop-in for ``bases._cospan_clusters`` with its own union-find."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    for i in range(len(f)):
+        parent[("f", i)] = ("f", i)
+    for j in range(len(g)):
+        parent[("g", j)] = ("g", j)
+    g_by_mid = {}
+    for j, comp in enumerate(g):
+        for m in comp[1]:
+            g_by_mid[m] = j
+    for i, comp in enumerate(f):
+        for m in comp[2]:
+            union(("f", i), ("g", g_by_mid[m]))
+
+    clusters = {}
+    for node in parent:
+        clusters.setdefault(find(node), []).append(node)
+    out = []
+    for members in clusters.values():
+        fi = tuple(sorted(i for side, i in members if side == "f"))
+        gi = tuple(sorted(j for side, j in members if side == "g"))
+        ss = tuple(sorted(s for i in fi for s in f[i][1]))
+        ts = tuple(sorted(t for j in gi for t in g[j][2]))
+        out.append((fi, gi, ("c", ss, ts)))
+    out.sort(key=lambda t: t[2])
+    return out
+
+
+def cocorr_fin_skeleton(bound=2):
+    """A drop-in for ``bases.cocorr_fin_skeleton`` that tabulates its own
+    indecomposables, identities and composites."""
+    objects = tuple(("pt",) * k for k in range(bound + 1))
+
+    morphisms = {}
+    for src in objects:
+        for tgt in objects:
+            items = [("s", i) for i in range(len(src))] + [("t", j) for j in range(len(tgt))]
+            found = set()
+            for part in _set_partitions(items):
+                if len(part) > bound:
+                    continue
+                comps = []
+                for block in part:
+                    ss = tuple(sorted(i for side, i in block if side == "s"))
+                    ts = tuple(sorted(j for side, j in block if side == "t"))
+                    comps.append(("c", ss, ts))
+                for e in range(bound - len(part) + 1):
+                    found.add(tuple(sorted(comps + [("c", (), ())] * e)))
+            morphisms[(src, tgt)] = tuple(sorted(found))
+
+    ind = {}
+    for (s, t), ms in morphisms.items():
+        for m in ms:
+            if len(m) == 1:
+                ind[detached_shape(s, t, m[0])] = (s, t)
+
+    identity = {obj: tuple(sorted(("c", (i,), (i,)) for i in range(len(obj)))) for obj in objects}
+
+    compose = {}
+    for A in objects:
+        for B in objects:
+            for C in objects:
+                for fm in morphisms[(A, B)]:
+                    for gm in morphisms[(B, C)]:
+                        clusters = cospan_clusters(fm, gm)
+                        if len(clusters) > bound:
+                            continue
+                        h = tuple(sorted(comp for _, _, comp in clusters))
+                        compose[((A, B, C), (fm, gm))] = h
+    return BasePresentation(("pt",), objects, morphisms, ind, identity, compose)
+
+
+def loop_classes(C):
+    """A drop-in for ``bases._loop_classes`` with its own union-find."""
+    items = [(x, e) for x in C.objects for e in C.hom.get((x, x), ())]
+    parent = {i: i for i in items}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x in C.objects:
+        for y in C.objects:
+            for f in C.hom.get((x, y), ()):
+                for g in C.hom.get((y, x), ()):
+                    gf = C.compose[((x, y, x), (f, g))]
+                    fg = C.compose[((y, x, y), (g, f))]
+                    a, b = find((x, gf)), find((y, fg))
+                    if a != b:
+                        parent[a] = b
+    reps = {}
+    for i in items:
+        root = find(i)
+        reps.setdefault(root, []).append(i)
+    cls = {}
+    for root, members in reps.items():
+        rep = min(members, key=repr)
+        for m in members:
+            cls[m] = rep
+    return cls

@@ -238,6 +238,36 @@ class TestLoopValueVariant:
             assert plain == hh
 
 
+def _edited(C, identity=(), compose=()):
+    """``C`` with entries of its identity and compose tables replaced; a
+    value of None deletes the entry."""
+
+    def edit(table, edits):
+        return {k: v for k, v in {**table, **dict(edits)}.items() if v is not None}
+
+    return category_from_tables(C.objects, C.hom, edit(C.identity, identity), edit(C.compose, compose))
+
+
+ONE = ("*", "*", "*")
+
+#: one corrupted copy of a stock category per law, keyed by the law its report names
+BROKEN_CATEGORIES = {
+    "identity": lambda: _edited(walking_arrow(), identity={"b": None}),
+    "closure": lambda: _edited(walking_arrow(), compose={(("a", "a", "b"), ("id", "f")): None}),
+    "composition-typing": lambda: _edited(cyclic_group_category(3), compose={(ONE, (1, 1)): 7}),
+    "unit": lambda: _edited(walking_idempotent(), compose={(ONE, ("id", "e")): "id"}),
+    # (1 + 1) + 2 = 0 + 2 = 2, but 1 + (1 + 2) = 1 + 0 = 1
+    "associativity": lambda: _edited(cyclic_group_category(3), compose={(ONE, (1, 1)): 0}),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_CATEGORIES))
+def test_corrupted_category_fails_naming_its_law(law):
+    report = validate_category(BROKEN_CATEGORIES[law]())
+    assert report.status == "fail"
+    assert law in {v.law for v in report.violations}
+
+
 class TestCategoryEnumeration:
     def test_all_outputs_are_categories(self):
         for C in enumerate_categories(2, 4):

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
-from htk.cli import main, parse, serialize
+from htk.arity import canonical_key, enumerate_arities, layout
+from htk.cli import _key_shape, _shaped, main, parse, serialize
 from htk.graded import product_graded, terminal_graded
+from htk.ordcomb import PLANAR, SYMMETRIC
+from htk.theory import lower_key, whole_key
 from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
 
 
@@ -306,6 +309,65 @@ class TestExitCodes:
         for argv in (["validate", str(p)], ["apply", "theta", str(p)], ["fmt", str(p)]):
             code, out, err = run(argv, capsys)
             assert code == 2 and out == "" and err.count("error:") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind,table,entry,verb",
+        [
+            ("graded", "top_mul", [["k1|t0|", 5], []], "validate"),
+            ("assoc", "top_mul", [["k1|t1|", 7], ["*"]], "enum"),
+            ("assoc", "top_mul", [["k1|t1|", 7], ["*"]], "validate"),
+            ("assoc", "top_mul", [["k1|t1|", [["*", "*", "*", "*", "*"]]], ["*"]], "validate"),
+            ("assoc", "top_mul", [["k1|t1|", [["*", "*"], []]], ["*"]], "validate"),
+            ("assoc", "composition", [["k2|t0|1/", [["*"], [], [], "*"]], []], "validate"),
+            ("assoc", "composition", [["k2|t1|0,1/", [["*", "*"], []]], []], "validate"),
+            ("assoc", "composition", [["k2|t1|0,1/", [["*"], 5]], []], "validate"),
+            ("terminal2", "top_mul", [["k2|t1|0,1/", [["*"], [], 5, "*"]], ["*"]], "validate"),
+            ("terminal2", "composition", [["k3|t0|0,1/;1/", [["*"], [5]]], []], "validate"),
+            ("graded", "top_mul", [["k1|t0|", [["*"]]], []], "validate"),
+            ("graded", "composition", [["k2|t0|1/", [[["*", "*", "*"]], []]], []], "validate"),
+        ],
+        ids=[
+            "graded-int",
+            "int-enum",
+            "int",
+            "five-colours",
+            "extra-part",
+            "composition-whole-key",
+            "composition-colours",
+            "composition-lower-not-a-list",
+            "chain-not-a-list",
+            "lower-level-not-a-list",
+            "graded-label-not-a-pair",
+            "graded-composition-triple",
+        ],
+    )
+    def test_malformed_boundary_key_is_a_format_error(self, kind, table, entry, verb, tmp_path, capsys):
+        # the boundary part of each key has the shape its arity implies
+        T = terminal_theory(2, bound=1) if kind == "terminal2" else assoc_operad(bound=1)
+        good = tmp_path / "good.json"
+        good.write_text(serialize(T))
+        obj = json.loads(serialize(terminal_graded(T, bound=1) if kind == "graded" else T))
+        obj[table].append(entry)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = ["enum", "functors", str(bad), str(good)] if verb == "enum" else [verb, str(bad)]
+        for argv in (argv, ["fmt", str(bad)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and err.count("error:") == 1 and "error: a dimension-" in err
+            assert "Traceback" not in err
+
+    def test_built_keys_have_the_checked_shape(self):
+        # every whole and lower key the library builds, with pairs as
+        # labels, passes the decoder's shape check
+        for variance in (SYMMETRIC, PLANAR):
+            for k in (1, 2, 3):
+                for a in enumerate_arities(k, 2, variance):
+                    spec = layout(a).spec
+                    for lower, build in ((False, whole_key), (True, lower_key)):
+                        key = build(spec, lambda addr: ("deg", addr))
+                        parts, colours = _key_shape(canonical_key(a), k, lower, 2)
+                        assert colours is None or colours == len(spec.colours)
+                        assert _shaped(key, parts, colours, True)
 
     def test_objects_over_a_dimension_zero_base_are_a_format_error(self, tmp_path, capsys):
         # over a 0-dimensional base the element fibres live in top_mul
