@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from functools import lru_cache
-from operator import itemgetter
 
 # Only what ``parse`` and ``serialize`` need for a plain theory is
 # imported here; each command imports the modules its verb uses where it
@@ -41,40 +40,54 @@ class UsageError(Exception):
 # canonical encoding
 
 
-_enc = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# tables are acyclic, so the encoder need not look for cycles
+_enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 _scan = json.JSONDecoder().scan_once
 _space = json.decoder.WHITESPACE.match
 _SCALARS = frozenset((str, int, bool, type(None)))
+_SHARED = frozenset((str, int, type(None)))
 
 
-def _dec(x):
+def _dec(x, memo):
     """A decoded value: lists become tuples; strings, integers, booleans
-    and null are the only scalars."""
+    and null are the only scalars.  Through ``memo``, one per decoded
+    text, equal strings and equal flat tuples come back as one object.
+    A tuple that holds a boolean or a tuple is never looked up: ``True
+    == 1`` and the two hash alike, so ``(True,)`` would read as ``(1,)``."""
     if type(x) is list:
-        return tuple([e if type(e) in _SCALARS else _dec(e) for e in x])
+        if _SHARED.issuperset(map(type, x)):
+            t = tuple(map(memo.setdefault, x, x))
+            return memo.setdefault(t, t)
+        items = []
+        for e in x:  # a flat list element is looked up here, without a call
+            t = memo.get(tuple(e)) if type(e) is list and _SHARED.issuperset(map(type, e)) else None
+            items.append(_dec(e, memo) if t is None else t)
+        return tuple(items)
+    if type(x) is str:
+        return memo.setdefault(x, x)
     if type(x) in _SCALARS:
         return x
     raise FormatError(f"unsupported value {x!r}")
 
 
-def _value_at(s, i):
+def _value_at(s, i, memo):
     """The JSON value that starts at ``s[i]``, decoded, and the index
     after it.  An object is walked here, member by member.  A list goes
     to the scanner one element at a time, and each element becomes
     tuples at once, so the list tree of a whole table never exists."""
     c = s[i]
     if c == "{":
-        return _members(s, i)
+        return _members(s, i, memo)
     if c != "[":
         value, i = _scan(s, i)
-        return _dec(value), i
+        return _dec(value, memo), i
     items = []
     i = _space(s, i + 1).end()
     if s[i] == "]":
         return (), i + 1
     while True:
         value, i = _scan(s, i)
-        items.append(_dec(value))
+        items.append(_dec(value, memo))
         i = _space(s, i).end()
         if s[i] == "]":
             return tuple(items), i + 1
@@ -83,7 +96,7 @@ def _value_at(s, i):
         i = _space(s, i + 1).end()
 
 
-def _members(s, i):
+def _members(s, i, memo):
     """The members of the JSON object at ``s[i]`` and the index after
     it; a later duplicate replaces an earlier one.  A member whose value
     holds an unsupported value gets that ``FormatError`` as its value,
@@ -102,7 +115,7 @@ def _members(s, i):
             raise json.JSONDecodeError("Expecting ':' delimiter", s, i)
         start = _space(s, i + 1).end()
         try:
-            members[name], i = _value_at(s, start)
+            members[name], i = _value_at(s, start, memo)
         except FormatError as e:
             members[name], i = e, _scan(s, start)[1]
         i = _space(s, i).end()
@@ -114,9 +127,9 @@ def _members(s, i):
 
 
 def _decode(text):
-    """The value of a JSON text, decoded by ``_value_at``."""
+    """The value of a JSON text, decoded by ``_value_at`` with a new memo."""
     try:
-        value, i = _value_at(text, _space(text, 0).end())
+        value, i = _value_at(text, _space(text, 0).end(), {})
         if _space(text, i).end() != len(text):
             raise json.JSONDecodeError("Extra data", text, i)
     except ValueError as e:
@@ -129,10 +142,17 @@ def _decode(text):
 
 
 def _table(d, value=_enc):
-    """A table as the text of its entry list: each key and value encoded
-    once, the entries in the order of their key texts."""
-    items = sorted(zip(map(_enc, d), map(value, d.values())), key=itemgetter(0))
-    return "[" + ",".join([f"[{k},{v}]" for k, v in items]) + "]"
+    """A table's entry list as pieces of text: each entry's text
+    "[key,value]," built once, the first opening the list and the last
+    closing it in place of its comma ("[]" if none).  Sorting the entry
+    texts orders the entries as their key texts: key texts are distinct,
+    and one is a proper prefix of another only when both are integers (a
+    string or list text ends at its closing quote or bracket), where the
+    next character, a digit, sorts after ","."""
+    pieces = sorted([f"[{_enc(k)},{value(v)}]," for k, v in d.items()]) or [","]
+    pieces[0] = "[" + pieces[0]
+    pieces[-1] = pieces[-1][:-1] + "]"
+    return pieces
 
 
 def _entries(entries):
@@ -218,7 +238,7 @@ def _listed(table):
 
 
 def _nested(d):
-    return _table(d, _table)
+    return _table(d, lambda t: "".join(_table(t)))
 
 
 def _unnested(entries):
@@ -230,18 +250,18 @@ def _fibred(entries):
     return {k: _listed(_untable(v)) for k, v in _entries(entries)}
 
 
-def _object(kind, strata, table, **texts):
-    """The text of a file's JSON object: the format tag, ``kind``, the
-    ``strata`` tables written by ``table``, and the fields given as
-    text; names sorted."""
-    strata = ",".join([f"[{d},{table(strata[d])}]" for d in sorted(strata)])
-    texts.update(format=_enc(FORMAT), kind=_enc(kind), strata=f"[{strata}]")
-    return "{" + ",".join([f'"{k}":{texts[k]}' for k in sorted(texts)]) + "}"
+def _object(kind, strata, table, **fields):
+    """A file's JSON object as pieces of text: the format tag, ``kind``,
+    the ``strata`` tables written by ``table``, and the fields given as
+    pieces; names sorted."""
+    rows = [p for i, d in enumerate(sorted(strata)) for p in (f"{',' if i else ''}[{d},", *table(strata[d]), "]")]
+    fields.update(format=[_enc(FORMAT)], kind=[_enc(kind)], strata=["[", *rows, "]"])
+    return [p for i, name in enumerate(sorted(fields)) for p in (f'{"," if i else "{"}"{name}":', *fields[name])] + ["}"]
 
 
-def _theory_text(T):
+def _theory_pieces(T):
     head = {"dimension": T.n, "variance": T.variance, "colour_depth": T.colour_depth, "arity_bound": T.arity_bound}
-    head = {name: _enc(value) for name, value in head.items()}
+    head = {name: [_enc(value)] for name, value in head.items()}
     return _object("theory", T.strata, _table, top_mul=_table(T.top_mul), composition=_nested(T.composition), **head)
 
 
@@ -276,12 +296,12 @@ def obj_to_theory(obj):
     )
 
 
-def _graded_text(X):
+def _graded_pieces(X):
     return _object(
         "graded",
         X.strata,
         _nested,
-        base=_theory_text(X.base),
+        base=_theory_pieces(X.base),
         objects=_table(X.objects),
         top_mul=_nested(X.top_mul),
         composition=_nested(X.composition),
@@ -305,12 +325,15 @@ def obj_to_graded(obj):
     )
 
 
+def _pieces(P):
+    """The canonical text of a presentation as a list of pieces."""
+    return [*(_theory_pieces(P) if isinstance(P, TheoryPresentation) else _graded_pieces(P)), "\n"]
+
+
 def serialize(P):
     """The canonical text of a presentation; it equals ``json.dumps`` of
     the file's object with sorted keys and compact separators."""
-    if isinstance(P, TheoryPresentation):
-        return _theory_text(P) + "\n"
-    return _graded_text(P) + "\n"
+    return "".join(_pieces(P))
 
 
 @gc_paused
@@ -340,15 +363,15 @@ def _load(path):
 
 
 def _emit(P, out):
-    text = serialize(P)
+    pieces = _pieces(P)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as e:
             raise FormatError(str(e)) from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------

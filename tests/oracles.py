@@ -15,8 +15,11 @@ Differential tests compare the library against these:
   reading the stage specs from ``theory._assoc_plan``;
 * ``serialize``: the tree serializer, which builds the file's object
   and hands it to ``json.dumps`` (each key is encoded twice: once to
-  sort, once to write);
-* ``dec``: the recursive decoder of JSON values;
+  sort, once to write), where ``cli.serialize`` sorts entry texts built
+  once and joins the file once;
+* ``dec``: the recursive decoder of JSON values, which builds every
+  string and tuple afresh, where ``cli._dec`` shares equal strings and
+  flat tuples within one ``parse`` call;
 * ``parse``: ``json.loads`` of the whole text, then ``dec`` on each
   table the presentation reads, so the list tree of the whole file
   exists while its tuple copy is built; its boundary-key check counts

@@ -55,6 +55,19 @@ class TestFormat:
         code, out, _ = run(["fmt", str(p)], capsys)
         assert code == 0 and out == p.read_text()
 
+    def test_boolean_label_is_not_read_as_an_equal_integer(self, tmp_path, capsys):
+        # True == 1 and hash(True) == hash(1), so a decoder that shared
+        # equal tuples blindly would write [[1]] for [[true]]
+        p = tmp_path / "b.json"
+        assert run(["build", "assoc", "--bound", "1", "-o", str(p)], capsys)[0] == 0
+        obj = json.loads(p.read_text())
+        obj["top_mul"][0][1] = [[True]]
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        assert "[[true]]" in text and "[[1]]" in text
+        p.write_text(text)
+        code, out, _ = run(["fmt", str(p)], capsys)
+        assert code == 0 and out == text
+
 
 class TestExitCodes:
     def test_validate_good_file(self, tmp_path, capsys):

@@ -61,6 +61,8 @@ def test_parse_rejects_or_round_trips(data):
             oracles.parse(text)
     else:
         assert oracles.parse(text) == P
+        # bytes as well: ``==`` cannot tell True from 1
+        assert serialize(P) == oracles.serialize(oracles.parse(text))
         text = serialize(P)
         assert parse(text) == P
         assert serialize(parse(text)) == text

@@ -194,7 +194,9 @@ def test_codec(name, monkeypatch):
     assert texts
     parsed = [cli.parse(text) for text in texts]
     assert parsed == [oracles.parse(text) for text in texts]
+    # bytes as well: ``==`` cannot tell True from 1
     assert [cli.serialize(P) for P in parsed] == texts
+    assert texts == [oracles.serialize(oracles.parse(text)) for text in texts]
 
 
 def _outcome(parse, text):
@@ -263,13 +265,39 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_parse_memory_stays_below_the_whole_tree_route():
-    # a 2.4 MB text: the whole-tree route holds the file's list tree and
-    # its tuple copy at once, the streaming route one entry's lists
+@pytest.fixture(scope="module")
+def theta_assoc():
+    """theta(assoc) at bound 2, its 2.4 MB text and the peak memory of
+    the whole-tree route's parse of it."""
     sup = deloop_support(2, 2)
-    text = cli.serialize(theta(assoc_operad(bound=2, extra=sup), 2, extra=sup))
+    T = theta(assoc_operad(bound=2, extra=sup), 2, extra=sup)
+    text = cli.serialize(T)
     assert len(text) > 2_000_000
-    assert _peak_bytes(cli.parse, text) <= 0.6 * _peak_bytes(oracles.parse, text)
+    return T, text, _peak_bytes(oracles.parse, text)
+
+
+def test_parse_memory_stays_below_the_whole_tree_route(theta_assoc):
+    # the whole-tree route holds the file's list tree and its tuple copy
+    # at once, the streaming route one entry's lists
+    _, text, tree = theta_assoc
+    assert _peak_bytes(cli.parse, text) <= 0.6 * tree
+
+
+def test_serialize_memory_stays_near_its_text(theta_assoc):
+    # each entry text is built once and the file joined once; holding
+    # key and value texts, entry texts and joined tables as well took
+    # over four times the text
+    T, text, _ = theta_assoc
+    assert _peak_bytes(cli.serialize, T) <= 3 * len(text)
+
+
+def test_parse_shares_repeated_leaves(theta_assoc):
+    _, text, tree = theta_assoc
+    assert _peak_bytes(cli.parse, text) <= 0.3 * tree
+    P = cli.parse(text)
+    keys = [k for k in P.top_mul if len(k[1][0]) == 2]
+    assert keys[0] != keys[1] and keys[0][1][0] == keys[1][1][0]
+    assert keys[0][1][0] is keys[1][1][0]
 
 
 def _reversed(table):
@@ -290,15 +318,42 @@ def test_codec_sorts_entries():
     assert cli.serialize(R) == oracles.serialize(R) == cli.serialize(T)
 
 
+# key texts that share prefixes: graded ``objects`` is keyed by colours,
+# which may be integers
+SHARED_PREFIXES = {"integers": [1, 10, 12, -1, -12], "strings": ["a", "a,b", "a]", 'a"', "•"]}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_PREFIXES))
+def test_codec_sorts_keys_that_share_prefixes(name):
+    keys = SHARED_PREFIXES[name]
+    table = {k: (i,) for i, k in enumerate(keys)}
+    T = cli.parse(test_golden.CASES["zoo:assoc"]())
+    X = cli.parse(test_golden.CASES["terminal_graded:cyclic"]())
+    for P in (
+        replace(T, strata={0: table}, top_mul=table, composition=dict.fromkeys(keys, table)),
+        replace(X, objects=table, top_mul=dict.fromkeys(keys, table)),
+    ):
+        assert cli.serialize(P) == oracles.serialize(P)
+
+
+def test_codec_writes_empty_tables():
+    T = cli.parse(test_golden.CASES["zoo:assoc"]())
+    for P in (
+        replace(T, strata={0: {}}, top_mul={}, composition={}),
+        replace(T, top_mul={}, composition={1: {}, 2: {(3,): 4, (): 5}, 10: {}}),
+    ):
+        assert cli.serialize(P) == oracles.serialize(P)
+
+
 @pytest.mark.parametrize("value", [0.5, {"a": 1}, [1, [2.5]], ["x", [{"a": 1}]], [[True, None], "•"]])
 def test_decoder(value):
     try:
         expected = oracles.dec(value)
     except cli.FormatError:
         with pytest.raises(cli.FormatError):
-            cli._dec(value)
+            cli._dec(value, {})
     else:
-        assert cli._dec(value) == expected
+        assert cli._dec(value, {}) == expected
 
 
 # sources of the deloop zoo, by the dimension their support is built for
