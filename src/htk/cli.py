@@ -269,6 +269,8 @@ def _check_header(obj):
     for name in ("dimension", "colour_depth", "arity_bound"):
         if type(obj[name]) is not int or obj[name] < 0:
             raise FormatError(f"{name} must be a non-negative integer, got {obj[name]!r}")
+    if obj["colour_depth"] > obj["dimension"]:
+        raise FormatError(f"colour_depth must be at most the dimension {obj['dimension']}, got {obj['colour_depth']}")
     if obj["variance"] not in (SYMMETRIC, PLANAR):
         raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
     _strata_entries(obj["strata"], range(obj["dimension"]))

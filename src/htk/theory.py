@@ -9,11 +9,14 @@ Builders accept an ``extra`` arity pool for the few constructions whose
 lookups outrun the bound (delooping flattens two index levels into one,
 so its source must be tabulated at a handful of larger arities).
 
-Boundary typings are nested tuples produced by :func:`whole_key` and
+Boundary typings are nested tuples.  The keys of a table's sites come
+from the one boundary walk (``_walk``), which builds each colour tuple
+and level tuple once per partial assignment and shares it among the
+sites extending it.  Lookup keys are built by :func:`whole_key` and
 :func:`lower_key` from a :class:`~htk.arity.LeafSpec`: an atom's, or a
 whole layout's (``Layout.spec``).  Both read the addresses in the same
-canonical order, so keys built for a stored arity and keys recovered
-from an atom inside a bigger arity agree positionally;
+canonical order as the walk, so keys built for a stored arity and keys
+recovered from an atom inside a bigger arity agree positionally;
 :func:`key_assignment` reads a key back into an assignment and
 :func:`map_key` relabels one level by level.
 """
@@ -165,32 +168,41 @@ def boundary_assignments(T, lay, top_level=None):
     atoms at levels <= ``top_level`` are assigned (default: all).
     """
     top = lay.arity.k - 1 if top_level is None else top_level
-    return _walk(T, lay.colour_addrs, [s for s in lay.steps if s[1] <= top])
+    return (asg for asg, _ in _walk(T, lay.colour_addrs, [s for s in lay.steps if s[1] <= top]))
 
 
-def _walk(T, cols, steps):
+def _walk(T, cols, steps, groups=()):
     """Every assignment of colours to the addresses ``cols``, extended
     depth first by a label of each step's atom in turn, drawn from the
-    label set its (already assigned) boundary selects."""
-    plan = [(ad, T.table(nu).get, ck, spec) for ad, nu, ck, spec in steps]
+    label set its (already assigned) boundary selects; with its key
+    parts, the walk's own list: the colour tuple, then the labels of each
+    address group, consecutive runs of the steps.  A part is built when
+    its last address is assigned, and every extension shares it."""
+    parts = [()] * (len(groups) + 1)
+    ends = {g[-1]: j for j, g in enumerate(groups, start=1) if g}
+    plan = [(ad, T.table(nu).get, ck, spec, ends.get(ad)) for ad, nu, ck, spec in steps]
     last = len(plan) - 1
     for vals in product(T.label_set(0), repeat=len(cols)):
         asg = dict(zip(cols, vals))
+        parts[0] = vals
         if last < 0:
-            yield asg
+            yield asg, parts
             continue
         get = asg.__getitem__
-        _, look, ck, spec = plan[0]
+        _, look, ck, spec, _ = plan[0]
         # stack[i] holds the untried labels of step i
         stack = [iter(look((ck, whole_key(spec, get)), ()))]
         while stack:
             i = len(stack) - 1
+            ad, _, _, _, end = plan[i]
             for lab in stack[i]:
-                asg[plan[i][0]] = lab
+                asg[ad] = lab
+                if end:
+                    parts[end] = tuple(map(get, groups[end - 1]))
                 if i == last:
-                    yield dict(asg)
+                    yield dict(asg), parts
                     continue
-                _, look, ck, spec = plan[i + 1]
+                _, look, ck, spec, _ = plan[i + 1]
                 stack.append(iter(look((ck, whole_key(spec, get)), ())))
                 break
             else:
@@ -207,8 +219,9 @@ def stratum_sites(T, d, pool):
     for ar in pool:
         lay = layout(ar)
         ak = canonical_key(ar)
-        for asg in boundary_assignments(T, lay):
-            yield ar, lay, ak, asg, whole_key(lay.spec, asg.__getitem__)
+        spec = lay.spec
+        for asg, p in _walk(T, spec.colours, lay.steps, (*spec.lower, spec.chain) if d > 1 else ()):
+            yield ar, lay, ak, asg, (p[0], tuple(p[1:-1]), p[-1], asg[spec.target]) if d > 1 else (p[0],)
 
 
 def composition_sites(T, pool, within=None):
@@ -227,12 +240,11 @@ def composition_sites(T, pool, within=None):
         lay = layout(P)
         ak = canonical_key(P)
         tops = site_slots(lay).steps
-        below = _walk(T, lay.colour_addrs, lay.steps[: len(lay.steps) - len(tops)]) if n else ({},)
-        for asg in below:
-            val = asg.__getitem__
-            lk = lower_key(lay.spec, val)
+        below = lay.steps[: len(lay.steps) - len(tops)]
+        for asg, p in _walk(T, lay.colour_addrs if n else (), below, lay.spec.lower):
+            lk = (p[0], tuple(p[1:])) if n else ()
             if within is None or within.get((ak, lk)):
-                yield P, lay, ak, asg, lk, Slots(tops, val)
+                yield P, lay, ak, asg, lk, Slots(tops, asg.__getitem__)
 
 
 def site_slots(lay, val=None):
@@ -484,7 +496,7 @@ def _check_associativity(T, bound, viol, warn, sample=1):
     for A in enumerate_arities(n + 2, bound, T.variance)[::sample]:
         free, stages, rhs_site, final = _assoc_plan(A, n)
         ak = canonical_key(A)
-        for init in _walk(T, *free):
+        for init, _ in _walk(T, *free):
             state = dict(init)
             get = state.__getitem__
             for sak, spec in stages:

@@ -10,6 +10,11 @@ Differential tests compare the library against these:
   where the library calls ``theory.map_key``;
 * ``boundary_assignments``: a recursive walk that keys every atom
   through ``canonical_key`` and ``atom_key`` afresh;
+* ``stratum_sites`` and ``composition_sites``: key every site afresh
+  from its assignment, through the recursive walk and ``whole_key`` or
+  ``lower_key``, where the library's walk builds each colour and level
+  tuple once and shares it among the sites that extend it (the delooping
+  oracle below reads its sites through these too);
 * ``check_associativity``: builds its stage templates
   (``_site_template``, read by ``_site_eval``) on every call instead of
   reading the stage specs from ``theory._assoc_plan``;
@@ -70,8 +75,7 @@ from htk.theory import (
     Violation,
     _coloured,
     build_theory,
-    composition_sites,
-    stratum_sites,
+    site_slots,
 )
 
 # ---------------------------------------------------------------------------
@@ -154,6 +158,25 @@ def boundary_assignments(T, lay, top_level=None):
 
     for cols in product(T.label_set(0), repeat=lay.colour_count):
         yield from rec(0, {("c", i): c for i, c in enumerate(cols)})
+
+
+def stratum_sites(T, d, pool):
+    """A drop-in for ``theory.stratum_sites`` that builds every whole key
+    afresh from its site's assignment."""
+    for ar in pool:
+        lay = layout(ar)
+        ak = canonical_key(ar)
+        for asg in boundary_assignments(T, lay):
+            yield ar, lay, ak, asg, whole_key(lay, asg.__getitem__)
+
+
+def composition_sites(T, pool):
+    """``theory.composition_sites`` without ``within``, building every
+    lower key afresh from its site's assignment."""
+    for P in pool:
+        lay = layout(P)
+        for asg in boundary_assignments(T, lay, P.k - 2) if T.n else ({},):
+            yield P, lay, canonical_key(P), asg, lower_key(lay, asg.__getitem__), site_slots(lay, asg.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +557,8 @@ def _obj_to_theory(obj):
     for name in ("dimension", "colour_depth", "arity_bound"):
         if type(obj[name]) is not int or obj[name] < 0:
             raise FormatError(f"{name} must be a non-negative integer, got {obj[name]!r}")
+    if obj["colour_depth"] > obj["dimension"]:
+        raise FormatError(f"colour_depth must be at most the dimension {obj['dimension']}, got {obj['colour_depth']}")
     if obj["variance"] not in (SYMMETRIC, PLANAR):
         raise FormatError(f"variance must be {SYMMETRIC!r} or {PLANAR!r}, got {obj['variance']!r}")
     _strata_entries(obj["strata"], range(obj["dimension"]))

@@ -162,6 +162,7 @@ class TestExitCodes:
             ("dimension", True),
             ("dimension", -1),
             ("colour_depth", None),
+            ("colour_depth", 2),
             ("arity_bound", 2.0),
             ("variance", "sideways"),
             ("strata", {}),

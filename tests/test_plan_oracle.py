@@ -21,7 +21,7 @@ import oracles
 import pytest
 import test_golden
 
-from htk import cli, theory
+from htk import cli, constructions, theory
 from htk.arity import enumerate_arities, layout
 from htk.constructions import deloop, deloop_support, disc_monoidal, monoidal_as_dim0, theta
 from htk.graded import product_graded, terminal_graded
@@ -142,6 +142,45 @@ def test_top_level_steps_are_the_chain_then_the_target(variance):
         for a in enumerate_arities(k, 2, variance):
             lay = layout(a)
             assert [s[0] for s in lay.steps if s[1] == k - 1] == [*lay.chain_addrs, lay.target_addr]
+
+
+@pytest.mark.parametrize("variance", [SYMMETRIC, PLANAR])
+def test_steps_below_the_top_level_are_the_lower_groups(variance):
+    # the walk builds a site key's colour part from the colour addresses
+    # and closes each level's part at the last address of its group
+    for k in (1, 2, 3, 4):
+        for a in enumerate_arities(k, 2, variance):
+            lay = layout(a)
+            assert lay.spec.colours == lay.colour_addrs
+            assert [s[0] for s in lay.steps if s[1] < k - 1] == list(chain(*lay.spec.lower))
+
+
+# theories whose sites are keyed by the walk and by the per-site route
+SITED = {
+    **{f"walk:{n}:{v}": partial(_walk_theory, n, v) for n in (1, 2, 3) for v in (SYMMETRIC, PLANAR)},
+    **{name: partial(_parsed, name) for name in test_golden.CASES if name.startswith("zoo:")},
+}
+
+
+def _keyed(sites):
+    """(arity key, assignment, key) of each site."""
+    return [s[2:5] for s in sites]
+
+
+@pytest.mark.parametrize("name", sorted(SITED))
+def test_site_keys_equal_the_per_site_route(name):
+    T = SITED[name]()
+    # every arity up to the composition arities, k <= 4
+    for d in range(1, T.n + 2):
+        pool = enumerate_arities(d, 2, T.variance)
+        assert _keyed(theory.stratum_sites(T, d, pool)) == _keyed(oracles.stratum_sites(T, d, pool))
+    pool = enumerate_arities(T.n + 1, 2, T.variance)
+    sites = list(oracles.composition_sites(T, pool))
+    assert _keyed(theory.composition_sites(T, pool)) == _keyed(sites)
+    # the file's own entries, and a table whose every other entry is nonempty
+    for within in (T.composition, {(s[2], s[4]): i % 2 for i, s in enumerate(sites)}):
+        want = [s for s in sites if within.get((s[2], s[4]))]
+        assert _keyed(theory.composition_sites(T, pool, within)) == _keyed(want)
 
 
 VALIDATED = {
@@ -298,6 +337,36 @@ def test_parse_shares_repeated_leaves(theta_assoc):
     keys = [k for k in P.top_mul if len(k[1][0]) == 2]
     assert keys[0] != keys[1] and keys[0][1][0] == keys[1][1][0]
     assert keys[0][1][0] is keys[1][1][0]
+
+
+def test_built_keys_share_their_colour_parts(theta_assoc):
+    # the walk builds one colour tuple per colour assignment of an arity,
+    # and every composition key extending it holds that object
+    T = theta_assoc[0]
+    parts = {(ak, lk[0]) for ak, lk in T.composition}
+    assert len(parts) < len(T.composition)
+    assert len({id(lk[0]) for _, lk in T.composition}) == len(parts)
+
+
+def _true_or_one(d, ar, lay, asg):
+    return (True,) if ar.top == 1 else (1,)
+
+
+def _target_label(P, lay, asg, inputs):
+    return _true_or_one(1, lay.atom(lay.spec.target).spec.arity, lay, asg)[0]
+
+
+def test_true_and_one_stay_apart_in_site_keys(monkeypatch):
+    # ``==`` cannot tell True from 1, so a key memo keyed by value would
+    # write one where the other belongs; the bytes show it
+    U = theta(build_theory(1, SYMMETRIC, 2, ("a",), _true_or_one, _target_label))
+    assert any({type(x) for x in key[2]} == {bool, int} for _, key in U.top_mul)
+    text = cli.serialize(U)
+    for module in (theory, constructions):
+        monkeypatch.setattr(module, "stratum_sites", oracles.stratum_sites)
+        monkeypatch.setattr(module, "composition_sites", oracles.composition_sites)
+    U = theta(build_theory(1, SYMMETRIC, 2, ("a",), _true_or_one, _target_label))
+    assert text == oracles.serialize(U)
 
 
 def _reversed(table):
