@@ -162,12 +162,12 @@ class TestExitCodes:
             ("dimension", True),
             ("dimension", -1),
             ("colour_depth", None),
-            ("colour_depth", 2),
             ("arity_bound", 2.0),
             ("variance", "sideways"),
             ("strata", {}),
             ("strata", []),
             ("strata", [[0, []], [0, []]]),
+            ("colour_depth", 2),
         ],
     )
     def test_bad_header_is_a_format_error(self, field, value, tmp_path, capsys):
