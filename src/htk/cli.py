@@ -23,7 +23,7 @@ from functools import lru_cache
 # uses them, so a cold ``htk`` process compiles no module it does not run.
 from .arity import arity_of_key
 from .ordcomb import PLANAR, SYMMETRIC
-from .theory import DIM0_KEY, TheoryPresentation, endo_planar, enumerate_morphisms, gc_paused, validate_theory
+from .theory import DIM0_KEY, TheoryPresentation, enumerate_morphisms, gc_paused, validate_theory
 
 FORMAT = "htk-theory/1"
 
@@ -564,6 +564,8 @@ def cmd_apply(args):
 
         out = detheorize_T(inputs[0], args.colours)
     elif verb == "endo":
+        from .constructions import endo_planar
+
         out = endo_planar(inputs[0], args.colour)
     elif verb == "pullback":
         from .graded import pullback, to_projection

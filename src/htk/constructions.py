@@ -1,6 +1,4 @@
-"""Dimension-raising constructions on theory presentations.
-
-Three ways to climb a dimension are implemented:
+"""Constructions that move a presentation up or down a dimension.
 
 * ``theta`` replaces each composition operation of its input by the
   hom-data it corepresents, turning an n-dimensional presentation into
@@ -15,11 +13,16 @@ Three ways to climb a dimension are implemented:
   into graded pairs while keeping all higher data, producing the theory
   whose strict morphisms into a target are graded structures over the
   original base.
+* ``endo_planar`` gives the planar endomorphism theory of a colour, one
+  dimension lower, read off the suspended arities at that colour.
 
-``deloop_compare`` checks, for a finite strict monoidal category, that
-delooping before or after corepresenting gives structurally equal
-presentations; the two sides are computed by disjoint routes (level
-flattening versus hom-sets of a one-object category).
+The last three read every table of their output off their input, each
+through its own plan of transported keys and one kernel,
+``_read_through``.  ``deloop_compare`` checks, for a finite strict
+monoidal category, that delooping before or after corepresenting gives
+structurally equal presentations; the two sides are computed by
+disjoint routes (level flattening versus hom-sets of a one-object
+category).
 """
 
 from dataclasses import replace
@@ -33,7 +36,7 @@ from .arity import (
     enumerate_arities,
     layout,
 )
-from .ordcomb import SYMMETRIC
+from .ordcomb import PLANAR, SYMMETRIC
 from .theory import (
     POINT,
     SKIP,
@@ -208,6 +211,53 @@ def theta_iter(C, steps, bound=None):
 
 
 # ---------------------------------------------------------------------------
+# reading a source's tables through a plan
+
+
+def _mapped(spec, at):
+    """``spec`` with every address mapped through ``at``."""
+    lower = tuple([tuple(map(at, g)) for g in spec.lower])
+    return LeafSpec(spec.arity, tuple(map(at, spec.colours)), lower, tuple(map(at, spec.chain)), at(spec.target))
+
+
+def _read_through(U, S, first, plan, what, reader=None):
+    """Fill U's label tables from dimension ``first`` up, then its
+    composition, by reading S.  A site over the arity a reads S at
+    ``plan(a)``: S's arity key and a ``LeafSpec`` in a's own addresses,
+    whose key reads the site's assignment, or ``reader(asg)`` if given.
+    U's dimension d reads S's dimension d + S.n - U.n.  A missing label
+    set or composition table raises ``KeyError`` with ``what`` and S's
+    key, except that a nullary site without a table is skipped: no unit
+    in S, none in U."""
+    shift = S.n - U.n
+
+    def plans(d):
+        pool = enumerate_arities(d, U.arity_bound, U.variance)
+        return pool, {canonical_key(a): plan(a) for a in pool}
+
+    for d in range(first, U.n + 1):
+        table, source = U.table(d), S.table(d + shift)
+        pool, at = plans(d)
+        for _, _, ak, asg, key in stratum_sites(U, d, pool):
+            sk, spec = at[ak]
+            skey = (sk, whole_key(spec, asg.__getitem__ if reader is None else reader(asg)))
+            try:
+                table[(ak, key)] = source[skey]
+            except KeyError:
+                raise KeyError(f"{what}: {skey}") from None
+    pool, at = plans(U.n + 1)
+    for P, _, ak, asg, lk, _ in composition_sites(U, pool):
+        sk, spec = at[ak]
+        skey = (sk, lower_key(spec, asg.__getitem__ if reader is None else reader(asg)))
+        entry = S.composition.get(skey)
+        if entry is None:
+            if P.top == 0:
+                continue  # no unit in S; none here either
+            raise KeyError(f"{what}: {skey}")
+        U.composition[(ak, lk)] = dict(entry)
+
+
+# ---------------------------------------------------------------------------
 # delooping
 
 
@@ -297,19 +347,11 @@ def _fl_tau(a):
     return canonical_key(fla), layf, tau
 
 
-def _fl_transport(a):
-    """(flattened arity key, spec): the flattened layout's spec with its
-    addresses mapped once through :func:`_fl_tau`, so that keys read an
-    assignment on the original layout directly."""
+def _flattening(a):
+    """The delooping plan of ``a``: the flattened arity key, and the
+    flattened layout's spec in ``a``'s addresses (:func:`_fl_tau`)."""
     akf, layf, tau = _fl_tau(a)
-    at, spec = tau.__getitem__, layf.spec
-    return akf, LeafSpec(
-        spec.arity,
-        tuple(map(at, spec.colours)),
-        tuple([tuple(map(at, g)) for g in spec.lower]),
-        tuple(map(at, spec.chain)),
-        tau.get(spec.target),
-    )
+    return akf, _mapped(layf.spec, tau.__getitem__)
 
 
 def deloop_support(n, bound):
@@ -353,32 +395,11 @@ def deloop(V, base="*", bound=None):
         raise ValueError("delooping needs the symmetric variance")
     if bound is None:
         bound = V.arity_bound
-    n2 = V.n + 1
-    U = _coloured(n2, SYMMETRIC, V.colour_depth, bound, (base,))
+    U = _coloured(V.n + 1, SYMMETRIC, V.colour_depth, bound, (base,))
     obs = tuple(V.label_set(0))
-    for _, _, ak, _, key in stratum_sites(U, 1, enumerate_arities(1, bound, SYMMETRIC)):
-        U.table(1)[(ak, key)] = obs
-    for d in range(2, n2 + 1):
-        table, vtab = U.table(d), V.table(d - 1)
-        pool = enumerate_arities(d, bound, SYMMETRIC)
-        flat = {canonical_key(A): _fl_transport(A) for A in pool}
-        for _, _, ak, asg, key in stratum_sites(U, d, pool):
-            akf, spec = flat[ak]
-            vkey = (akf, whole_key(spec, asg.__getitem__))
-            if vkey not in vtab:
-                raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
-            table[(ak, key)] = vtab[vkey]
-    pool = enumerate_arities(n2 + 1, bound, SYMMETRIC)
-    flat = {canonical_key(A): _fl_transport(A) for A in pool}
-    for A, _, ak, asg, lk, _ in composition_sites(U, pool):
-        akf, spec = flat[ak]
-        vkey = (akf, lower_key(spec, asg.__getitem__))
-        ventry = V.composition.get(vkey)
-        if ventry is None:
-            if A.top == 0:
-                continue  # no unit in V; none here either
-            raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
-        U.composition[(ak, lk)] = dict(ventry)
+    sites = stratum_sites(U, 1, enumerate_arities(1, bound, SYMMETRIC))
+    U.table(1).update(((ak, key), obs) for _, _, ak, _, key in sites)
+    _read_through(U, V, 2, _flattening, "flattening exceeds the tabulated arities")
     return U
 
 
@@ -441,19 +462,50 @@ def detheorize_T(U, colours=None):
             raise ValueError(f"{u!r} is not a colour of the base")
     pairs = tuple((u, x) for u in base for x in colours.get(u, ()))
     T = _coloured(U.n, U.variance, U.colour_depth, U.arity_bound, pairs)
-
-    def proj(asg):
-        return lambda ad: asg[ad][0] if ad[0] == "c" else asg[ad]
-
-    for d in range(1, U.n + 1):
-        table, utab = T.table(d), U.table(d)
-        for _, lay, ak, asg, key in stratum_sites(T, d, enumerate_arities(d, U.arity_bound, U.variance)):
-            ukey = (ak, whole_key(lay.spec, proj(asg)))
-            if ukey not in utab:
-                raise KeyError(f"base table misses projected boundary {ukey}")
-            table[(ak, key)] = utab[ukey]
-    for _, lay, ak, asg, lk, _ in composition_sites(T, enumerate_arities(U.n + 1, U.arity_bound, U.variance)):
-        uentry = U.composition.get((ak, lower_key(lay.spec, proj(asg))))
-        if uentry is not None:
-            T.composition[(ak, lk)] = dict(uentry)
+    _read_through(
+        T, U, 1, lambda a: (canonical_key(a), layout(a).spec), "base table misses projected boundary",
+        lambda asg: lambda ad: asg[ad][0] if ad[0] == "c" else asg[ad],  # a colour's base colour
+    )
     return T
+
+
+# ---------------------------------------------------------------------------
+# endomorphism theory
+
+
+def _suspend(b):
+    """The one-higher arity hanging an arity over a single colour chain."""
+    m = b.levels[0].sizes[0] if b.k >= 2 else b.top
+    bottom = Level((1,) * (m + 1), ((1,),) * m)
+    return Arity(b.k + 1, b.top, (bottom,) + b.levels)
+
+
+def _suspension(b):
+    """The endomorphism plan of ``b``: its suspension's arity key and spec
+    in b's addresses.  The level-1 atoms are b's colours, each higher
+    atom is b's atom one level down, and the suspension's own colours
+    read the address ``("fixed",)``."""
+    lay, sus = layout(b), layout(_suspend(b))
+    if [*map(len, sus.atoms.values())] != [lay.colour_count, *map(len, lay.atoms.values())]:
+        raise AssertionError("suspension atom count mismatch")
+
+    def down(ad):
+        if ad[0] == "c":
+            return ("fixed",)
+        return ("c", ad[2]) if ad[1] == 1 else ("a", ad[1] - 1, ad[2])
+
+    if b.k > 1 and tuple(map(down, sus.chain_addrs)) != lay.chain_addrs:
+        raise AssertionError("suspension chain order mismatch")
+    return canonical_key(sus.arity), _mapped(sus.spec, down)
+
+
+def endo_planar(T, x):
+    """The planar endomorphism theory of a colour: one dimension lower,
+    with every datum read off the suspended arities at that colour."""
+    if T.n < 1:
+        raise ValueError("needs dimension >= 1")
+    if x not in T.label_set(0):
+        raise ValueError("not a colour")
+    V = _coloured(T.n - 1, PLANAR, T.n - 1, T.arity_bound, T.label_set(1, canonical_key(Arity(1, 1, ())), ((x, x),)))
+    _read_through(V, T, 1, _suspension, "base table misses suspended boundary", lambda asg: {**asg, ("fixed",): x}.__getitem__)
+    return V

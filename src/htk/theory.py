@@ -40,7 +40,7 @@ from .arity import (
     resolve_leaf,
     slot_ctx,
 )
-from .ordcomb import PLANAR, SYMMETRIC
+from .ordcomb import SYMMETRIC
 
 DIM0_KEY = ("", ())
 
@@ -158,17 +158,6 @@ def map_key(f, key, d):
     if len(key) > 2:
         out += (tuple([f(d - 1, x) for x in key[2]]), f(d - 1, key[3]))
     return out
-
-
-def boundary_assignments(T, lay, top_level=None):
-    """All consistent label assignments to a layout's boundary addresses.
-
-    Colours draw from the dimension-0 set; each atom draws from the label
-    set its own arity and (already assigned) boundary key select.  Only
-    atoms at levels <= ``top_level`` are assigned (default: all).
-    """
-    top = lay.arity.k - 1 if top_level is None else top_level
-    return (asg for asg, _ in _walk(T, lay.colour_addrs, [s for s in lay.steps if s[1] <= top]))
 
 
 def _walk(T, cols, steps, groups=()):
@@ -843,57 +832,3 @@ def _arity_of_key(akey, bound):
     if max((a.top,) + sum((lv.sizes for lv in a.levels), ())) > bound:
         raise ValueError(f"the arity key {akey!r} is past the arity bound {bound}")
     return a
-
-
-# ---------------------------------------------------------------------------
-# endomorphism theory
-
-
-def _suspend(b):
-    """The one-higher arity hanging an arity over a single colour chain."""
-    m = b.levels[0].sizes[0] if b.k >= 2 else b.top
-    bottom = Level((1,) * (m + 1), ((1,),) * m)
-    return Arity(b.k + 1, b.top, (bottom,) + b.levels)
-
-
-def _suspend_assignment(layb, laysa, asg, x):
-    """Transport an assignment through the level shift of a suspension:
-    colour i becomes the i-th level-1 atom, and every atom moves up a
-    level at the same position."""
-    if len(laysa.atoms.get(1, ())) != layb.colour_count or any(
-        len(laysa.atoms[nu + 1]) != len(ats) for nu, ats in layb.atoms.items()
-    ):
-        raise AssertionError("suspension atom count mismatch")
-    out = {("c", i): x for i in range(laysa.colour_count)}
-    out.update((("a", 1, ad[1]) if ad[0] == "c" else _shift_addr(ad), lab) for ad, lab in asg.items())
-    return out
-
-
-def _shift_addr(addr):
-    return ("a", addr[1] + 1, addr[2])
-
-
-def endo_planar(T, x):
-    """The planar endomorphism theory of a colour: one dimension lower,
-    with every datum read off the suspended arities at that colour."""
-    if T.n < 1:
-        raise ValueError("needs dimension >= 1")
-    if x not in T.label_set(0):
-        raise ValueError("not a colour")
-    n2 = T.n - 1
-    V = _coloured(n2, PLANAR, n2, T.arity_bound, T.label_set(1, canonical_key(Arity(1, 1, ())), ((x, x),)))
-    for d in range(1, n2 + 1):
-        table = V.table(d)
-        for b, layb, bk, asg, key in stratum_sites(V, d, enumerate_arities(d, T.arity_bound, PLANAR)):
-            laysa = layout(_suspend(b))
-            tasg = _suspend_assignment(layb, laysa, asg, x)
-            tkey = whole_key(laysa.spec, tasg.__getitem__)
-            table[(bk, key)] = T.label_set(d + 1, canonical_key(laysa.arity), tkey)
-    for P, layb, bk, asg, lk, slots in composition_sites(V, enumerate_arities(n2 + 1, T.arity_bound, PLANAR)):
-        laysa = layout(_suspend(P))
-        if P.k > 1 and tuple(_shift_addr(a) for a in layb.chain_addrs) != laysa.chain_addrs:
-            raise AssertionError("suspension chain order mismatch")
-        tasg = _suspend_assignment(layb, laysa, asg, x)
-        tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa.spec, tasg.__getitem__))]
-        V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots)}
-    return V

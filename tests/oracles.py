@@ -1,5 +1,6 @@
 """The plain routes that compiled plans, the one-pass codec, the one key
-builder pair and the shared finite-category routines replaced.
+builder pair, the read-through kernel and the shared finite-category
+routines replaced.
 
 Differential tests compare the library against these:
 
@@ -29,8 +30,13 @@ Differential tests compare the library against these:
   table the presentation reads, so the list tree of the whole file
   exists while its tuple copy is built; its boundary-key check counts
   colours off each arity's concrete bottom level;
-* ``deloop``: keys V's tables through one lambda call per flattened
-  address instead of reading key addresses mapped once per arity;
+* ``deloop``, ``detheorize_T`` and ``endo_planar``: each with its own
+  site loops, where ``constructions`` reads all three through one
+  kernel and a plan per construction. ``deloop`` keys V's tables
+  through one lambda call per flattened address, ``detheorize_T``
+  through a projecting closure made per site, and ``endo_planar``
+  through a shifted assignment dict built per site
+  (``_suspend_assignment``, ``_shift_addr``);
 * ``to_projection_0``, ``from_projection_0``, ``graded_from_pairs_0``,
   ``relabel_graded_0``, ``pullback_0`` and ``enumerate_graded_0``: the
   graded routes over a 0-dimensional base that kept its element fibres
@@ -51,7 +57,7 @@ Differential tests compare the library against these:
 import json
 from itertools import combinations_with_replacement, permutations, product
 
-from htk.arity import arity_of_key, canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
+from htk.arity import Arity, arity_of_key, canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
 from htk.bases import (
     BasePresentation,
     _bord_chains,
@@ -63,7 +69,7 @@ from htk.bases import (
     tensor_objects,
 )
 from htk.cli import FORMAT, FormatError
-from htk.constructions import _fl_tau
+from htk.constructions import _fl_tau, _suspend
 from htk.graded import GradedTheoryPresentation
 from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import (
@@ -75,6 +81,7 @@ from htk.theory import (
     Violation,
     _coloured,
     build_theory,
+    site_inputs,
     site_slots,
 )
 
@@ -280,7 +287,7 @@ def check_associativity(T, bound, viol, warn, sample=1):
 
 
 # ---------------------------------------------------------------------------
-# delooping
+# constructions that read their input's tables
 
 
 def deloop(V, base="*", bound=None):
@@ -316,6 +323,81 @@ def deloop(V, base="*", bound=None):
             raise KeyError(f"flattening exceeds the tabulated arities: {vkey}")
         U.composition[(ak, lk)] = dict(ventry)
     return U
+
+
+def detheorize_T(U, colours=None):
+    """A drop-in for ``constructions.detheorize_T`` on complete inputs,
+    reading U through a projecting closure made per site; it leaves out
+    any composition table U lacks."""
+    if not colours:
+        return U
+    if U.n < 1:
+        raise ValueError("needs at least one colour stratum")
+    base = U.label_set(0)
+    for u in colours:
+        if u not in base:
+            raise ValueError(f"{u!r} is not a colour of the base")
+    pairs = tuple((u, x) for u in base for x in colours.get(u, ()))
+    T = _coloured(U.n, U.variance, U.colour_depth, U.arity_bound, pairs)
+
+    def proj(asg):
+        return lambda ad: asg[ad][0] if ad[0] == "c" else asg[ad]
+
+    for d in range(1, U.n + 1):
+        table, utab = T.table(d), U.table(d)
+        for _, lay, ak, asg, key in stratum_sites(T, d, enumerate_arities(d, U.arity_bound, U.variance)):
+            ukey = (ak, whole_key(lay, proj(asg)))
+            if ukey not in utab:
+                raise KeyError(f"base table misses projected boundary {ukey}")
+            table[(ak, key)] = utab[ukey]
+    for _, lay, ak, asg, lk, _ in composition_sites(T, enumerate_arities(U.n + 1, U.arity_bound, U.variance)):
+        uentry = U.composition.get((ak, lower_key(lay, proj(asg))))
+        if uentry is not None:
+            T.composition[(ak, lk)] = dict(uentry)
+    return T
+
+
+def _suspend_assignment(layb, laysa, asg, x):
+    """Transport an assignment through the level shift of a suspension:
+    colour i becomes the i-th level-1 atom, and every atom moves up a
+    level at the same position."""
+    if len(laysa.atoms.get(1, ())) != layb.colour_count or any(
+        len(laysa.atoms[nu + 1]) != len(ats) for nu, ats in layb.atoms.items()
+    ):
+        raise AssertionError("suspension atom count mismatch")
+    out = {("c", i): x for i in range(laysa.colour_count)}
+    out.update((("a", 1, ad[1]) if ad[0] == "c" else _shift_addr(ad), lab) for ad, lab in asg.items())
+    return out
+
+
+def _shift_addr(addr):
+    return ("a", addr[1] + 1, addr[2])
+
+
+def endo_planar(T, x):
+    """A drop-in for ``constructions.endo_planar`` on complete inputs with
+    a unit, rebuilding a shifted assignment dict at every site; it reads
+    a missing label set as empty."""
+    if T.n < 1:
+        raise ValueError("needs dimension >= 1")
+    if x not in T.label_set(0):
+        raise ValueError("not a colour")
+    n2 = T.n - 1
+    V = _coloured(n2, PLANAR, n2, T.arity_bound, T.label_set(1, canonical_key(Arity(1, 1, ())), ((x, x),)))
+    for d in range(1, n2 + 1):
+        table = V.table(d)
+        for b, layb, bk, asg, key in stratum_sites(V, d, enumerate_arities(d, T.arity_bound, PLANAR)):
+            laysa = layout(_suspend(b))
+            tasg = _suspend_assignment(layb, laysa, asg, x)
+            table[(bk, key)] = T.label_set(d + 1, canonical_key(laysa.arity), whole_key(laysa, tasg.__getitem__))
+    for P, layb, bk, asg, lk, slots in composition_sites(V, enumerate_arities(n2 + 1, T.arity_bound, PLANAR)):
+        laysa = layout(_suspend(P))
+        if P.k > 1 and tuple(_shift_addr(a) for a in layb.chain_addrs) != laysa.chain_addrs:
+            raise AssertionError("suspension chain order mismatch")
+        tasg = _suspend_assignment(layb, laysa, asg, x)
+        tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa, tasg.__getitem__))]
+        V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots)}
+    return V
 
 
 # ---------------------------------------------------------------------------

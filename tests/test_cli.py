@@ -13,6 +13,7 @@ from htk.graded import product_graded, terminal_graded
 from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import lower_key, whole_key
 from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
+from test_constructions import detheorize_input_without_a_table, endo_input_without_a_label_set, unitless
 
 
 def run(argv, capsys):
@@ -460,6 +461,28 @@ class TestVerbs:
         assert run(["apply", "pushL", str(tg), str(pb), "-o", str(pl)], capsys)[0] == 0
         assert run(["validate", str(pl)], capsys)[0] == 0
 
+    def test_apply_endo_of_a_unitless_theory(self, tmp_path, capsys):
+        src, out = tmp_path / "nounit.json", tmp_path / "en.json"
+        src.write_text(serialize(unitless()))
+        code, _, err = run(["apply", "endo", str(src), "--colour", '"*"', "-o", str(out)], capsys)
+        assert code == 0 and err == ""
+        assert run(["validate", str(out)], capsys)[1:] == run(["validate", str(src)], capsys)[1:]
+
+    @pytest.mark.parametrize(
+        "argv,incomplete",
+        [
+            (["endo", "--colour", '"*"'], endo_input_without_a_label_set),
+            (["detheorize", "--colours", '[["*", ["a"]]]'], detheorize_input_without_a_table),
+        ],
+        ids=["endo", "detheorize"],
+    )
+    def test_apply_refuses_an_incomplete_input(self, argv, incomplete, tmp_path, capsys):
+        T, key = incomplete()
+        src = tmp_path / "in.json"
+        src.write_text(serialize(T))
+        code, out, err = run(["apply", argv[0], str(src), *argv[1:]], capsys)
+        assert code == 1 and out == "" and err.count("error:") == 1 and repr(key) in err
+
     def test_enum_counts(self, tmp_path, capsys):
         c2 = tmp_path / "c2.json"
         run(["build", "cyclic:2", "-o", str(c2)], capsys)
@@ -559,8 +582,10 @@ class TestCheckRoundtripSuite:
 
 @pytest.fixture
 def zoo_files(tmp_path, capsys):
-    """A plain theory ``z2.json`` and a graded ``V.json`` in ``tmp_path``."""
+    """Plain theories ``z2.json`` (dimension 0) and ``e1.json`` (dimension
+    1) and a graded ``V.json`` in ``tmp_path``."""
     assert run(["build", "cyclic:2", "-o", str(tmp_path / "z2.json")], capsys)[0] == 0
+    assert run(["build", "assoc", "--bound", "1", "-o", str(tmp_path / "e1.json")], capsys)[0] == 0
     assert run(["build", "terminal-graded:cyclic:2", "-o", str(tmp_path / "V.json")], capsys)[0] == 0
     return tmp_path
 
@@ -680,8 +705,10 @@ class TestLeanImport:
             (["fmt", "z2.json"], set()),
             (["apply", "theta", "z2.json", "-o", "th2.json"], {"htk.constructions"}),
             (["enum", "functors", "z2.json", "z2.json"], set()),
+            (["apply", "endo", "e1.json", "--colour", '"*"', "-o", "en.json"], {"htk.constructions"}),
+            (["apply", "detheorize", "e1.json", "--colours", '[["*", ["a"]]]', "-o", "dt.json"], {"htk.constructions"}),
         ],
-        ids=["build", "validate", "fmt", "apply-theta", "enum-functors"],
+        ids=["build", "validate", "fmt", "apply-theta", "enum-functors", "apply-endo", "apply-detheorize"],
     )
     def test_each_verb_loads_only_its_modules(self, argv, extra, zoo_files):
         code = f"from htk.cli import main\nassert main({in_dir(zoo_files, argv)!r}) == 0"

@@ -1,18 +1,22 @@
-"""Tests for the dimension-raising constructions."""
+"""Tests for the constructions that move a presentation between dimensions."""
 
+import copy
+import re
 from itertools import permutations, product
 
 import pytest
 
-from htk.arity import Arity, Level, canonical_key, enumerate_arities
+from htk.arity import Arity, Level, arity_of_key, canonical_key, enumerate_arities
 from htk.constructions import (
     POINT,
     MonoidalCategory,
+    _suspend,
     deloop,
     deloop_compare,
     deloop_support,
     detheorize_T,
     disc_monoidal,
+    endo_planar,
     flatten,
     monoidal_as_dim0,
     one_object_deloop,
@@ -29,7 +33,7 @@ from htk.ordcomb import (
     enumerate_maps,
     pushforward_nerve,
 )
-from htk.theory import enumerate_morphisms, validate_theory
+from htk.theory import SKIP, build_theory, enumerate_morphisms, validate_theory
 from htk.zoo import (
     assoc_operad,
     cyclic_monoid_theory,
@@ -200,8 +204,6 @@ class TestDeloop:
         assert validate_theory(U).status == "pass"
 
     def test_planar_input_rejected(self):
-        from htk.theory import endo_planar
-
         V = endo_planar(assoc_operad(2), "*")
         with pytest.raises(ValueError):
             deloop(V)
@@ -278,6 +280,62 @@ class TestDetheorize:
         U = theta(cyclic_monoid_theory(2), 2)
         with pytest.raises(ValueError):
             detheorize_T(U, {"nope": ("x",)})
+
+
+def unitless():
+    """A valid one-colour theory without a unit: every nullary composite
+    is left out, and validation only warns."""
+    return build_theory(1, SYMMETRIC, 2, ("*",), lambda *a: ("m",), lambda P, lay, asg, ins: SKIP if P.top == 0 else "m")
+
+
+def without(T, field, pick):
+    """A copy of T whose table ``field`` lacks its first key (in ``repr``
+    order) whose arity key ``pick`` accepts, and that key."""
+    T = copy.deepcopy(T)
+    table = getattr(T, field)
+    key = next(k for k in sorted(table, key=repr) if pick(k[0]))
+    del table[key]
+    return T, key
+
+
+def endo_input_without_a_label_set():
+    """terminal:2 without one top label set at a suspended 1-arity."""
+    sus = canonical_key(_suspend(Arity(1, 2, ())))
+    return without(terminal_theory(2), "top_mul", lambda ak: ak == sus)
+
+
+def detheorize_input_without_a_table():
+    """assoc without one non-nullary composition table."""
+    return without(assoc_operad(), "composition", lambda ak: arity_of_key(ak).top > 0)
+
+
+class TestReadThrough:
+    """deloop, detheorize_T and endo_planar read their input through one
+    kernel: a missing label set or non-nullary composition table is an
+    error naming the input's key, and a missing nullary one means no unit."""
+
+    def test_endo_of_a_unitless_theory(self):
+        T = unitless()
+        V = endo_planar(T, "*")
+        assert V.label_set(0) == ("m",) and V.composition
+        assert validate_theory(V).lines() == validate_theory(T).lines()
+        assert validate_theory(V).status == "pass"
+
+    def test_endo_raises_on_a_missing_label_set(self):
+        T, key = endo_input_without_a_label_set()
+        with pytest.raises(KeyError, match=re.escape(repr(key))):
+            endo_planar(T, "*")
+
+    def test_detheorize_raises_on_a_missing_composition_table(self):
+        U, key = detheorize_input_without_a_table()
+        with pytest.raises(KeyError, match=re.escape(repr(key))):
+            detheorize_T(U, {"*": ("a",)})
+
+    def test_deloop_skips_a_missing_unit(self):
+        V = without(cyclic_monoid_theory(2, extra=deloop_support(0, 2)), "composition", lambda ak: ak == "k1|t0|")[0]
+        U = deloop(V)
+        assert all(arity_of_key(ak).top > 0 for ak, _ in U.composition)
+        assert "no unit declared" in " ".join(validate_theory(U).warnings)
 
 
 class TestClosure:

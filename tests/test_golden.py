@@ -19,6 +19,7 @@ from htk.constructions import (
     deloop_support,
     detheorize_T,
     disc_monoidal,
+    endo_planar,
     monoidal_as_dim0,
     theta,
 )
@@ -33,7 +34,6 @@ from htk.graded import (
     to_projection,
 )
 from htk.theory import (
-    endo_planar,
     enumerate_morphisms,
     identity_morphism,
     validate_morphism,

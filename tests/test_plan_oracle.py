@@ -4,11 +4,12 @@ the one-pass codec.
 The routes they replaced live in ``oracles``: the separate atom, layout
 and graded key builders, the recursive boundary walk, associativity
 with its templates rebuilt on every call, the ``json.dumps`` tree
-serializer, the whole-tree ``json.loads`` parser and delooping through
-one lambda per flattened address.  Each must agree with the library:
-the same keys, the same assignments in the same order, the same
-validation lines, the same bytes, equal parses (or a ``FormatError``
-from both) and equal delooped tables.
+serializer, the whole-tree ``json.loads`` parser, and delooping,
+colour refinement and endomorphism theories each through its own site
+loops.  Each must agree with the library: the same keys, the same
+assignments in the same order, the same validation lines, the same
+bytes, equal parses (or a ``FormatError`` from both), equal delooped
+tables and the same refined and endomorphism files.
 """
 
 import json
@@ -23,12 +24,11 @@ import test_golden
 
 from htk import cli, constructions, theory
 from htk.arity import enumerate_arities, layout
-from htk.constructions import deloop, deloop_support, disc_monoidal, monoidal_as_dim0, theta
+from htk.constructions import deloop, deloop_support, detheorize_T, disc_monoidal, endo_planar, monoidal_as_dim0, theta
 from htk.graded import product_graded, terminal_graded
 from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import (
     SKIP,
-    boundary_assignments,
     build_theory,
     key_assignment,
     lower_key,
@@ -129,7 +129,8 @@ def test_boundary_assignments(k, variance):
     for a in enumerate_arities(k, 2, variance):
         lay = layout(a)
         for top in (None, *range(k)):
-            got = list(boundary_assignments(T, lay, top))
+            steps = [s for s in lay.steps if top is None or s[1] <= top]
+            got = [asg for asg, _ in theory._walk(T, lay.colour_addrs, steps)]
             assert got == list(oracles.boundary_assignments(T, lay, top))
             walked += len(got)
     assert walked
@@ -446,3 +447,43 @@ def test_deloop_key_addresses(name):
     got = deloop(V, "*", 2)
     assert got == oracles.deloop(V, "*", 2)
     assert got.composition
+
+
+def _composed(n, variance):
+    """``_walk_theory(n, variance)`` with a composite at every site: the
+    suspension reads composition tables as well as label sets."""
+    return build_theory(n, variance, 2, ("a", "b") if n < 3 else ("a",), _labels, lambda P, *site: f"{P.top}")
+
+
+# theories read through the suspension, at each colour, and the projection
+SUSPENDED = {
+    **{f"walk:{n}:{v}": partial(_composed, n, v) for n in (1, 2, 3) for v in (SYMMETRIC, PLANAR)},
+    **{name: partial(_parsed, name) for name in test_golden.CASES if name.startswith("zoo:")},
+}
+REFINED = {name: make for name, make in SUSPENDED.items() if name.startswith("zoo:")}
+
+
+def _same_bytes(route, oracle, *args):
+    """Both give the same file, or both raise ``ValueError``."""
+    try:
+        want = cli.serialize(oracle(*args))
+    except ValueError:
+        with pytest.raises(ValueError):
+            route(*args)
+    else:
+        assert cli.serialize(route(*args)) == want
+
+
+@pytest.mark.parametrize("name", sorted(SUSPENDED))
+def test_endo_reads_like_the_per_site_route(name):
+    T = SUSPENDED[name]()
+    for x in T.label_set(0):
+        _same_bytes(endo_planar, oracles.endo_planar, T, x)
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_detheorize_reads_like_the_per_site_route(name):
+    U = REFINED[name]()
+    # one name over every colour, and two over the first
+    for colours in ({u: ("a",) for u in U.label_set(0)}, {U.label_set(0)[0]: ("a", "b")}):
+        _same_bytes(detheorize_T, oracles.detheorize_T, U, colours)

@@ -5,16 +5,16 @@ import copy
 import pytest
 
 from htk.arity import Arity, GeneralArity, Level, canonical_key, decompose_general, layout
+from htk.constructions import endo_planar
 from htk.theory import (
     DIM0_KEY,
-    boundary_assignments,
     compose,
     compose_general,
-    endo_planar,
     enumerate_morphisms,
     identity_morphism,
     mul,
     mul_general,
+    stratum_sites,
     validate_morphism,
     validate_theory,
 )
@@ -65,13 +65,12 @@ class TestBoundaryMachinery:
 
     def test_boundary_assignment_count_terminal(self):
         T = terminal_theory(1, bound=2)
-        lay = layout(mk2(2, (2, 1, 1), ((1, 1), (1,))))
-        assert len(list(boundary_assignments(T, lay))) == 1
+        a = mk2(2, (2, 1, 1), ((1, 1), (1,)))
+        assert len(list(stratum_sites(T, 2, (a,)))) == 1
 
     def test_boundary_assignment_count_two_colours(self):
         T = discrete_category(2)
-        lay = layout(Arity(1, 2, ()))
-        assert len(list(boundary_assignments(T, lay))) == 8
+        assert len(list(stratum_sites(T, 1, (Arity(1, 2, ()),)))) == 8
 
 
 class TestValidateZoo:
