@@ -178,6 +178,12 @@ def _enumerate_levels(spine, depth, bound, variance):
                 yield rest + (lv,)
 
 
+def index_bound(a):
+    """The size of an arity's largest index set, top included: the least
+    bound whose enumeration holds it."""
+    return max((a.top,) + sum((lv.sizes for lv in a.levels), ()))
+
+
 def enumerate_arities(k, bound, variance=SYMMETRIC):
     """All arities of dimension k with every index set of size <= bound."""
     return list(_enumerate_arities(k, bound, variance))

@@ -116,7 +116,7 @@ def validate_category(C):
                     if ((x, y, z), (f, g)) not in C.compose:
                         v.append(Violation("closure", (x, y, z), (f, g), "composite", None))
     v += _category_laws(C.objects, C.hom, C.identity, C.compose, inf)
-    return ValidationReport("pass" if not v else "fail", tuple(v), ())
+    return ValidationReport(tuple(v), ())
 
 
 def category_from_tables(objects, hom, identity, compose):
@@ -187,20 +187,17 @@ def chain_category(k):
     return category_from_tables(obs, hom, {obs[i]: (i, i) for i in range(k)}, comp)
 
 
-def enumerate_categories(max_obj, max_arrows, hom_cap=None):
+def enumerate_categories(max_obj, max_arrows):
     """Yield every labelled finite category within the given size box.
 
     Objects are ``x0..x{k-1}``; arrow labels are positional.  The
     composition table is filled by backtracking with incremental
     associativity pruning; identity composites are forced up front.
-    ``hom_cap`` bounds each individual hom-set (without it, a single
-    large endomorphism monoid makes the table space astronomical).
     """
     for k in range(1, max_obj + 1):
         obs = tuple(f"x{i}" for i in range(k))
         slots = [(a, b) for a in obs for b in obs]
         base = k  # identities
-        cap = hom_cap if hom_cap is not None else max_arrows
 
         def profiles(i, left):
             if i == len(slots):
@@ -208,7 +205,7 @@ def enumerate_categories(max_obj, max_arrows, hom_cap=None):
                 return
             a, b = slots[i]
             lo = 1 if a == b else 0
-            for n in range(lo, min(cap, lo + left) + 1):
+            for n in range(lo, min(max_arrows, lo + left) + 1):
                 for rest in profiles(i + 1, left - (n - lo)):
                     yield (n,) + rest
 
@@ -660,7 +657,7 @@ def validate_base(B, assoc_cap=200_000):
                     cap = max((len(m) for m in pool), default=0)
                     if fm not in pool and len(fm) <= cap:
                         v.append(Violation("tensor-closure", (src, tgt), (f1, f2), "morphism", fm))
-    return ValidationReport("pass" if not v else "fail", tuple(v), ())
+    return ValidationReport(tuple(v), ())
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +712,15 @@ def terminal_bgraded(B):
     return BGradedOneTheory(B, colours, multimaps, comp, units)
 
 
-def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
-    """Typing, closure, unit and associativity report for a graded theory."""
+def bgraded_validate(B, X):
+    """Typing, closure, unit and associativity report for a graded theory:
+    at most 200 colourings of each composition instance and 200 label
+    pairs of each, and associativity until 2,000 instances are passed."""
     v = []
     warnings = []
     if set(X.colours) != set(B.ind_objects):
         v.append(Violation("colour-keys", None, set(X.colours), set(B.ind_objects), set(X.colours)))
-        return ValidationReport("fail", tuple(v), ())
+        return ValidationReport(tuple(v), ())
 
     def colourings(*objs):
         return product(*(product(*(X.colours[s] for s in obj)) for obj in objs))
@@ -734,7 +733,7 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
     for key in sorted(stray, key=repr):
         v.append(Violation("multimap-domain", key, key, None, "stray entry"))
     if v:
-        return ValidationReport("fail", tuple(v), ())
+        return ValidationReport(tuple(v), ())
 
     label_sets = {}  # read once per coloured morphism: the associativity pass re-asks
 
@@ -748,12 +747,12 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
 
     for inst, h in B.compose.items():
         (a, b, c), (f, g) = inst
-        for ca, cb, cc in islice(colourings(a, b, c), colour_cap):
+        for ca, cb, cc in islice(colourings(a, b, c), 200):
             ff = families(a, b, ca, cb, f)
             gf = families(b, c, cb, cc, g)
             if ff is None or gf is None:
                 continue
-            for lf, lg in islice(product(ff, gf), label_cap):
+            for lf, lg in islice(product(ff, gf), 200):
                 out = X.composition(inst, (ca, cb, cc), lf, lg)
                 if out is None or len(out) != len(h):
                     v.append(Violation("composition-shape", inst, (ca, cb, cc, lf, lg), len(h), out))
@@ -764,7 +763,7 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
 
     checked = 0
     for inst, fg in B.compose.items():
-        if checked > assoc_cap:
+        if checked > 2000:
             break
         (a, b, c), (f, g) = inst
         for d in B.objects:
@@ -801,7 +800,7 @@ def bgraded_validate(B, X, colour_cap=200, label_cap=200, assoc_cap=2000):
             key = _component_key((g,), (g,), (x,), (x,), idm[0])
             if u not in X.multimaps.get(key, ()):
                 v.append(Violation("unit", key, u, "declared unit in tables", u))
-    return ValidationReport("pass" if not v else "fail", tuple(v), tuple(warnings))
+    return ValidationReport(tuple(v), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +848,7 @@ def assoc_properad(bound=2):
     return ProperadTables(("*",), ops, rule, {"*": "m"})
 
 
-def properad_adapter(P, bound=2, base=None):
+def properad_adapter(P, base=None):
     """Read properad tables as a theory graded by the cospan skeleton.
 
     The degree of an operation with given inputs and outputs is the
@@ -857,7 +856,7 @@ def properad_adapter(P, bound=2, base=None):
     the shared set and delegates the merged label to the properad's own
     rule.
     """
-    B = base if base is not None else cocorr_fin_skeleton(bound)
+    B = base if base is not None else cocorr_fin_skeleton()
     colours = {"pt": tuple(P.colours)}
     multimaps = {}
     for shape, (so, to) in B.ind_morphisms.items():

@@ -21,7 +21,7 @@ from functools import lru_cache
 # Only what ``parse`` and ``serialize`` need for a plain theory is
 # imported here; each command imports the modules its verb uses where it
 # uses them, so a cold ``htk`` process compiles no module it does not run.
-from .arity import arity_of_key
+from .arity import arity_of_key, index_bound
 from .ordcomb import PLANAR, SYMMETRIC
 from .theory import DIM0_KEY, TheoryPresentation, enumerate_morphisms, gc_paused, validate_theory
 
@@ -183,7 +183,7 @@ def _key_shape(akey, d, lower, bound):
     if a.k != d:
         raise ValueError(f"not the key of a {d}-arity: {akey!r}")
     parts = (0 if lower else 1) if d == 1 else (2 if lower else 4)
-    if max((a.top,) + sum((lv.sizes for lv in a.levels), ())) > bound:
+    if index_bound(a) > bound:
         return parts, None
     return parts, a.top + 1 if d == 1 else sum(a.levels[0].sizes)
 

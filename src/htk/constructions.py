@@ -414,7 +414,7 @@ def _table_diffs(name, left, right, viol):
             viol.append(Violation("structural-equality", name, (key,), lv, rv))
 
 
-def deloop_compare(M, m, bound=2, base="*"):
+def deloop_compare(M, m, bound=2):
     """Compare the two routes from a discrete monoidal category to an
     (m+1)-dimensional presentation: corepresent m times then deloop,
     against corepresenting the one-object deloop m+1 times (restricted
@@ -423,10 +423,10 @@ def deloop_compare(M, m, bound=2, base="*"):
     if m not in (0, 1):
         raise ValueError("comparison implemented for one corepresentation step")
     if m == 0:
-        left = deloop(monoidal_as_dim0(M, bound, extra=deloop_support(0, bound)), base, bound)
+        left = deloop(monoidal_as_dim0(M, bound, extra=deloop_support(0, bound)), bound=bound)
     else:
-        left = deloop(theta(M, bound, extra=deloop_support(1, bound)), base, bound)
-    right = theta_iter(one_object_deloop(M, base), m + 1, bound)
+        left = deloop(theta(M, bound, extra=deloop_support(1, bound)), bound=bound)
+    right = theta_iter(one_object_deloop(M), m + 1, bound)
     right = replace(right, colour_depth=m)
     viol = []
     for field in ("n", "variance", "colour_depth", "arity_bound"):
@@ -437,7 +437,7 @@ def deloop_compare(M, m, bound=2, base="*"):
         _table_diffs(f"stratum-{d}", left.strata.get(d, {}), right.strata.get(d, {}), viol)
     _table_diffs("top", left.top_mul, right.top_mul, viol)
     _table_diffs("composition", left.composition, right.composition, viol)
-    return ValidationReport("fail" if viol else "pass", viol)
+    return ValidationReport(viol)
 
 
 # ---------------------------------------------------------------------------

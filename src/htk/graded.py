@@ -62,6 +62,7 @@ from .theory import (
     composition_sites,
     enumerate_morphisms,
     gc_paused,
+    image_key,
     key_assignment,
     lower_key,
     map_assignment,
@@ -130,9 +131,14 @@ def _project_key(gkey, d):
     return map_key(lambda nu, pair: pair[0], gkey, d)
 
 
-def _pair_assignment(p, lay, asg):
-    """Annotate every assigned address with its image under p."""
-    return {ad: (img, asg[ad]) for ad, img in map_assignment(p, lay, asg).items()}
+class _Graph:
+    """The graph of a morphism p out of ``source``: ``act`` returns the
+    pair (p's image, label), so the :func:`theory.image_key` of a table
+    key is its graded key."""
+
+    def __init__(self, source, p):
+        self.source = source
+        self.act = lambda d, akey, tkey, label: (p.act(d, akey, tkey, label), label)
 
 
 # ---------------------------------------------------------------------------
@@ -173,33 +179,24 @@ def from_projection(Y, p):
     fibres by second projection.
     """
     base = p.target
-    n = Y.n
-    zero = {
-        u: tuple(c for c in Y.label_set(0) if p.act(0, "", (), c) == u)
-        for u in base.label_set(0)
-    }
-    tables = {0: {DIM0_KEY: zero}}
-    for d in range(1, n + 1):
+    g = _Graph(Y, p)
+    tables = {}
+    for d in range(Y.n + 1):
         tables[d] = table = {}
         for (ak, skey), labs in Y.table(d).items():
-            lay = layout(_arity_of_key(ak, Y.arity_bound))
-            pasg = _pair_assignment(p, lay, key_assignment(lay.spec, skey))
-            gkey = whole_key(lay.spec, pasg.__getitem__)
-            bkey = whole_key(lay.spec, lambda ad: pasg[ad][0])
+            gkey = image_key(g, ak, skey)
             table[(ak, gkey)] = {
                 v: tuple(y for y in labs if p.act(d, ak, skey, y) == v)
-                for v in base.label_set(d, ak, bkey)
+                for v in base.label_set(d, ak, _project_key(gkey, d))
             }
     comp = {}
     for (ak, lk), entry in Y.composition.items():
-        lay = layout(_arity_of_key(ak, Y.arity_bound))
-        asg = key_assignment(lay.spec, lk)
-        glk = lower_key(lay.spec, _pair_assignment(p, lay, asg).__getitem__)
-        keys = site_slots(lay, asg.__getitem__)()
-        comp[(ak, glk)] = {
-            tuple((p.act(*key, y), y) for key, y in zip(keys, ins)): (p.act(*keys[-1], out), out)
-            for ins, out in entry.items()
-        }
+        comp[(ak, image_key(g, ak, lk))] = graded = {}
+        if entry:
+            lay = layout(_arity_of_key(ak, Y.arity_bound))
+            keys = site_slots(lay, key_assignment(lay.spec, lk).__getitem__)()
+            for ins, out in entry.items():
+                graded[tuple((p.act(*key, y), y) for key, y in zip(keys, ins))] = (p.act(*keys[-1], out), out)
     return _graded(base, tables, comp)
 
 
@@ -216,7 +213,7 @@ def validate_graded(X, bound=None):
                 if v not in degrees:
                     viol.append(Violation("grading-typing", ak, (gkey, v), tuple(degrees), v))
     if viol:
-        return ValidationReport("fail", viol, [])
+        return ValidationReport(viol)
     Y, p = to_projection(X)
     return _pair_report(Y, p, bound)
 
@@ -228,9 +225,7 @@ def _pair_report(Y, p, bound):
     if r1.violations:
         return r1
     r2 = validate_morphism(p, bound)
-    viol = r1.violations + r2.violations
-    warn = r1.warnings + r2.warnings
-    return ValidationReport("fail" if viol else "pass", viol, warn)
+    return ValidationReport(r1.violations + r2.violations, r1.warnings + r2.warnings)
 
 
 def relabel_graded(X, obj_map, lab_map):
@@ -270,33 +265,28 @@ def compose_morphisms(G, F):
     """The composite morphism applying F and then G."""
     if F.target != G.source:
         raise ValueError("morphisms do not compose")
-    actions = {0: {DIM0_KEY: {c: G.act(0, "", (), img) for c, img in F.actions[0][DIM0_KEY].items()}}}
-    for d in range(1, F.source.n + 1):
-        actions[d] = {}
+    actions = {d: {} for d in range(F.source.n + 1)}
+    for d, table in actions.items():
         for (ak, skey), mp in F.actions.get(d, {}).items():
-            lay = layout(_arity_of_key(ak, F.source.arity_bound))
-            asg = key_assignment(lay.spec, skey)
-            mkey = whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
-            actions[d][(ak, skey)] = {a: G.act(d, ak, mkey, b) for a, b in mp.items()}
+            mkey = image_key(F, ak, skey)
+            table[(ak, skey)] = {a: G.act(d, ak, mkey, b) for a, b in mp.items()}
     return TheoryMorphism(F.source, G.target, actions)
 
 
-def morphism_from_maps(S, T, colour_map, label_map=None):
-    """Assemble a morphism from a colour map and a per-label rule.
+def morphism_from_maps(S, T, label_map):
+    """Assemble a morphism from one per-label rule.
 
     ``label_map(d, arity key, source key, translated target key, label)``
-    returns the image label; translated keys are computed with the part
-    of the morphism already built, so the rule only sees well-typed
-    target boundaries.
+    returns the image label, the colours' at d = 0 with keys ``""`` and
+    ``()``; translated keys are computed with the part of the morphism
+    already built, so the rule only sees well-typed target boundaries.
     """
-    actions = {0: {DIM0_KEY: {c: colour_map(c) for c in S.label_set(0)}}}
+    actions = {}
     F = TheoryMorphism(S, T, actions)
-    for d in range(1, S.n + 1):
+    for d in range(S.n + 1):
         actions[d] = {}
         for (ak, skey), labs in S.table(d).items():
-            lay = layout(_arity_of_key(ak, S.arity_bound))
-            asg = key_assignment(lay.spec, skey)
-            tkey = whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
+            tkey = image_key(F, ak, skey)
             actions[d][(ak, skey)] = {lab: label_map(d, ak, skey, tkey, lab) for lab in labs}
     return F
 
@@ -599,15 +589,12 @@ def convolve(X, Y, bound=None):
         Tm = terminal_graded(U, {u: X.objects.get(u, ()) for u in U.label_set(0)}, bound=bound)
     XP, _ = to_projection(X)
     TT, pT = to_projection(Tm)
-    if m == 0:
-        r = morphism_from_maps(XP, TT, lambda e: (e[0], POINT))
-    else:
-        r = morphism_from_maps(XP, TT, lambda c: c, lambda d, ak, sk, tk, l: (l[0], POINT))
+    r = morphism_from_maps(XP, TT, lambda d, ak, sk, tk, l: (l[0], POINT) if d == m else l)
     Xr = from_projection(XP, r)
     A = pullback(pT, Y, bound)
     B = push_left(Tm, Xr)
     BP, _ = to_projection(B)
-    Rm = morphism_from_maps(BP, TT, lambda c: c[1][0], lambda d, ak, sk, tk, l: l[1][0])
+    Rm = morphism_from_maps(BP, TT, lambda d, ak, sk, tk, l: l[1][0])
     W = from_projection(BP, Rm)
     _, qW = to_projection(W)
     RA = pullback(qW, A, bound)

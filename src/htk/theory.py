@@ -17,8 +17,9 @@ sites extending it.  Lookup keys are built by :func:`whole_key` and
 whole layout's (``Layout.spec``).  Both read the addresses in the same
 canonical order as the walk, so keys built for a stored arity and keys
 recovered from an atom inside a bigger arity agree positionally;
-:func:`key_assignment` reads a key back into an assignment and
-:func:`map_key` relabels one level by level.
+:func:`key_assignment` reads a key back into an assignment, :func:`map_key`
+relabels one level by level, and :func:`image_key` is the one route from a
+table key to its image under a morphism.
 """
 
 import gc
@@ -36,6 +37,7 @@ from .arity import (
     decompose,
     decompose_general,
     enumerate_arities,
+    index_bound,
     layout,
     resolve_leaf,
     slot_ctx,
@@ -289,7 +291,7 @@ def arity_pool(d, bound, variance, extra=None):
 
 
 @gc_paused
-def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_depth=None, extra=None):
+def build_theory(n, variance, bound, colours, label_rule, comp_rule, extra=None):
     """Construct a presentation by enumerating every bounded key.
 
     ``label_rule(d, arity, lay, asg)`` returns the labels of dimension-d
@@ -301,7 +303,7 @@ def build_theory(n, variance, bound, colours, label_rule, comp_rule, colour_dept
     site whose inputs are all left out gets no table).  For n = 0
     ``colours`` is the element set.
     """
-    T = _coloured(n, variance, n if colour_depth is None else colour_depth, bound, colours)
+    T = _coloured(n, variance, n, bound, colours)
     for d in range(1, n + 1):
         table = T.table(d)
         for ar, lay, ak, asg, key in stratum_sites(T, d, arity_pool(d, bound, variance, extra)):
@@ -391,18 +393,17 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    status: str
     violations: list
     warnings: list = field(default_factory=list)
+
+    @property
+    def status(self):
+        return "fail" if self.violations else "pass"
 
     def lines(self):
         out = [v.line() for v in self.violations]
         out.extend(f"warning: {w}" for w in self.warnings)
         return out
-
-
-def _report(violations, warnings):
-    return ValidationReport("fail" if violations else "pass", violations, warnings)
 
 
 def _check_strata(T, bound, viol):
@@ -437,13 +438,21 @@ def _check_closure(T, bound, viol, warn):
                 viol.append(Violation("missing-composition", ak, wit, "table", "absent"))
             continue
         out_set = T.label_set(*slots.key(-1))
+        found = 0
         for inputs in site_inputs(T, slots):
             wit = _site_witness(lk, inputs)
             if inputs not in entry:
                 viol.append(Violation("missing-composition", ak, wit, "entry", "absent"))
-            elif entry[inputs] not in out_set:
+                continue
+            found += 1
+            if entry[inputs] not in out_set:
                 expected = tuple(out_set) if lk else "element"
                 viol.append(Violation("composition-typing", ak, wit, expected, entry[inputs]))
+        # stray inputs; an absent chain label set is a missing stratum already
+        if found != len(entry):
+            if all((ck, key) in T.table(d) for d, ck, key in map(slots.key, range(len(slots.steps) - 1))):
+                for inputs in sorted(entry.keys() - set(site_inputs(T, slots)), key=repr):
+                    viol.append(Violation("stray-composition", ak, _site_witness(lk, inputs), "absent", entry[inputs]))
     if no_unit:
         warn.append("no unit declared (nullary composition entries absent)")
 
@@ -473,16 +482,16 @@ def _assoc_plan(A, n):
     return free, tuple(stages), rhs, final
 
 
-def _check_associativity(T, bound, viol, warn, sample=1):
+def _check_associativity(T, bound, viol, warn):
     """Composing stage by stage along the top-adjacent nerve must agree
     with composing along its total composite, for every one-higher-still
     elemental arity within bound.  Instances with empty stages exercise
     the unit entries; they are skipped (with a warning) when no unit is
-    declared.  ``sample`` > 1 checks every sample-th shape only.
+    declared.
     """
     n = T.n
     skipped_units = False
-    for A in enumerate_arities(n + 2, bound, T.variance)[::sample]:
+    for A in enumerate_arities(n + 2, bound, T.variance):
         free, stages, rhs_site, final = _assoc_plan(A, n)
         ak = canonical_key(A)
         for init, _ in _walk(T, *free):
@@ -555,24 +564,17 @@ def _check_relabelings(T, bound, viol):
             viol.append(Violation("relabeling-bijection", ak, (lk,), "injective", tuple(vals)))
 
 
-def validate_theory(T, bound=None, assoc_sample=1):
+def validate_theory(T, bound=None):
     """Check totality, closure, unit presence, and associativity of a
-    presentation over all arities within the bound.
-
-    ``assoc_sample`` thins the associativity sweep to every sample-th
-    shape; anything other than 1 is an explicitly partial check (the
-    shape space grows steeply with the bound).
-    """
+    presentation over all arities within the bound."""
     bound = T.arity_bound if bound is None else bound
     viol, warn = [], []
     _check_strata(T, bound, viol)
     _check_closure(T, bound, viol, warn)
     if not viol:
-        _check_associativity(T, bound, viol, warn, assoc_sample)
+        _check_associativity(T, bound, viol, warn)
         _check_relabelings(T, bound, viol)
-    if assoc_sample != 1:
-        warn.append(f"associativity checked on 1/{assoc_sample} of shapes")
-    return _report(viol, warn)
+    return ValidationReport(viol, warn)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +586,8 @@ class TheoryMorphism:
     """A strict morphism: per-dimension label actions.
 
     ``actions[d]`` maps each source table key ``(akey, tkey)`` to a dict
-    sending source labels to target labels (``DIM0_KEY`` at dimension 0).
+    sending source labels to target labels, for every d from 0 (whose one
+    key is ``DIM0_KEY``).
     """
 
     source: TheoryPresentation
@@ -607,25 +610,34 @@ def map_assignment(F, lay, asg):
     return out
 
 
+def image_key(F, ak, key):
+    """The whole (1 or 4 parts) or lower (0 or 2) key of the table key
+    ``(ak, key)`` of F's source, each label replaced by its image at its
+    own key; ``()`` for dimension 0's ``""``.  F has ``act`` and ``source``."""
+    if not ak:
+        return ()
+    lay = layout(_arity_of_key(ak, F.source.arity_bound))
+    asg = map_assignment(F, lay, key_assignment(lay.spec, key))
+    return (whole_key if len(key) in (1, 4) else lower_key)(lay.spec, asg.__getitem__)
+
+
 def identity_morphism(T):
-    actions = {0: {DIM0_KEY: {c: c for c in T.label_set(0)}}}
-    for d in range(1, T.n + 1):
-        actions[d] = {key: {lab: lab for lab in labs} for key, labs in T.table(d).items()}
+    actions = {d: {key: {lab: lab for lab in labs} for key, labs in T.table(d).items()} for d in range(T.n + 1)}
     return TheoryMorphism(T, T, actions)
 
 
 def validate_morphism(F, bound=None):
     S, T = F.source, F.target
-    viol, warn = [], []
+    viol = []
     if S.n != T.n or S.variance != T.variance:
-        return _report([Violation("morphism-shape", "", (), (T.n, T.variance), (S.n, S.variance))], warn)
+        return ValidationReport([Violation("morphism-shape", "", (), (T.n, T.variance), (S.n, S.variance))])
     bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
     for c in S.label_set(0):
         img = F.actions.get(0, {}).get(DIM0_KEY, {}).get(c)
         if img is None or img not in T.label_set(0):
             viol.append(Violation("morphism-typing", "", (c,), "colour", img))
     if viol:
-        return _report(viol, warn)
+        return ValidationReport(viol)
     for d in range(1, S.n + 1):
         for _, lay, ak, asg, skey in stratum_sites(S, d, enumerate_arities(d, bound, S.variance)):
             tset = T.label_set(d, ak, whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__))
@@ -634,7 +646,7 @@ def validate_morphism(F, bound=None):
                 if img is None or img not in tset:
                     viol.append(Violation("morphism-typing", ak, (skey, lab), tuple(tset), img))
     if viol:
-        return _report(viol, warn)
+        return ValidationReport(viol)
     pool = enumerate_arities(S.n + 1, bound, S.variance)
     for _, lay, ak, asg, lk, slots in composition_sites(S, pool, S.composition):
         keys = slots()
@@ -644,16 +656,17 @@ def validate_morphism(F, bound=None):
             got = tentry.get(tuple(F.act(*key, lab) for key, lab in zip(keys, inputs)))
             if got != fout:
                 viol.append(Violation("morphism-composition", ak, _site_witness(lk, inputs), fout, got))
-    return _report(viol, warn)
+    return ValidationReport(viol)
 
 
 class _VarIndex:
-    """Stands in for a morphism during a search: ``act`` names the search
-    variable of a source label instead of its image, so the key builders
-    (:func:`map_assignment`, :func:`whole_key`, :func:`lower_key`) turn
-    source boundaries into templates of variable indices."""
+    """Stands in for a morphism out of ``source`` during a search: ``act``
+    names the search variable of a source label instead of its image, so
+    :func:`image_key` and :func:`map_assignment` turn source boundaries
+    into templates of variable indices."""
 
-    def __init__(self):
+    def __init__(self, source):
+        self.source = source
         self.index = {}
 
     def add(self, d, key, label):
@@ -703,10 +716,10 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     """All strict morphisms S -> T, in a deterministic order.
 
     A backtracking search with forward checking.  The variables are the
-    images of S's colours (in table order), then of its labels dimension
-    by dimension (keys sorted by ``repr``, labels in table order).  Each
-    label draws its image from T's label set at its translated boundary
-    key, so typing holds by construction.  Each composition instance of
+    images of S's labels dimension by dimension from the colours at 0
+    (keys sorted by ``repr``, labels in table order).  Each label draws
+    its image from T's label set at its :func:`image_key`, so typing
+    holds by construction.  Each composition instance of
     S within ``bound`` is checked as soon as the last variable it reads
     (lower boundary, chain or target) is assigned, with the test of
     :func:`validate_morphism`: the target entry must exist and equal the
@@ -728,22 +741,18 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
     n = S.n
     p, q = over if over is not None else (None, None)
-    vi = _VarIndex()
-    # (dimension, arity key, source key, label, key template, degree)
+    vi = _VarIndex(S)
+    # (dimension, arity key, table key, label, key template, degree)
     slots = []
-    colours = _Template(())
-    for c in S.label_set(0):
-        vi.add(0, DIM0_KEY, c)
-        slots.append((0, "", (), c, colours, p and p.act(0, "", (), c)))
-    for d in range(1, n + 1):
+    for d in range(n + 1):
         table = S.table(d)
-        for key in sorted(table, key=repr):
+        # a table of one key, such as the colours', needs no sort
+        for key in sorted(table, key=repr) if len(table) > 1 else table:
             ak, skey = key
-            lay = layout(_arity_of_key(ak, S.arity_bound))
-            tkey = _Template(whole_key(lay.spec, map_assignment(vi, lay, key_assignment(lay.spec, skey)).__getitem__))
+            tkey = _Template(image_key(vi, ak, skey))
             for lab in table[key]:
                 vi.add(d, key, lab)
-                slots.append((d, ak, skey, lab, tkey, p and p.act(d, ak, skey, lab)))
+                slots.append((d, ak, key, lab, tkey, p and p.act(d, ak, skey, lab)))
     nv = len(slots)
 
     # each composition instance, filed under the last variable it reads:
@@ -815,9 +824,7 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
 
 def _morphism_of(S, T, slots, val):
     actions = {d: {} for d in range(S.n + 1)}
-    actions[0][DIM0_KEY] = {}
-    for (d, ak, skey, lab, _, _), img in zip(slots, val):
-        key = DIM0_KEY if d == 0 else (ak, skey)
+    for (d, _, key, lab, _, _), img in zip(slots, val):
         actions[d].setdefault(key, {})[lab] = img
     return TheoryMorphism(S, T, actions)
 
@@ -829,6 +836,6 @@ def _arity_of_key(akey, bound):
     extra, or a key no bounded table holds) raises ``ValueError``, so no
     key can make a verb lay out an arity larger than the bound."""
     a = arity_of_key(akey)
-    if max((a.top,) + sum((lv.sizes for lv in a.levels), ())) > bound:
+    if index_bound(a) > bound:
         raise ValueError(f"the arity key {akey!r} is past the arity bound {bound}")
     return a

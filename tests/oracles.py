@@ -42,6 +42,13 @@ Differential tests compare the library against these:
   graded routes over a 0-dimensional base that kept its element fibres
   apart, where ``graded`` now runs dimension 0 through the same code as
   dimension 1;
+* ``image_key``, ``compose_morphisms``, ``morphism_from_maps`` and
+  ``from_projection``: each caller lays out the arity of a table key,
+  reads its assignment back, maps it through the morphism and rebuilds
+  the key itself, with the colours in a dimension-0 block of their own
+  (``morphism_from_maps`` takes a colour map and a label rule, and
+  ``from_projection`` pairs each address with its image through
+  ``_pair_assignment``), where ``graded`` asks ``theory.image_key``;
 * ``validate_category`` and ``validate_base``: each law checked by its
   own loops, where ``bases`` checks the laws of a category and of a
   skeleton through one helper (``validate_category`` here keeps its own
@@ -70,7 +77,7 @@ from htk.bases import (
 )
 from htk.cli import FORMAT, FormatError
 from htk.constructions import _fl_tau, _suspend
-from htk.graded import GradedTheoryPresentation
+from htk.graded import GradedTheoryPresentation, _graded
 from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import (
     DIM0_KEY,
@@ -79,11 +86,16 @@ from htk.theory import (
     TheoryPresentation,
     ValidationReport,
     Violation,
+    _arity_of_key,
     _coloured,
     build_theory,
+    key_assignment,
+    map_assignment,
     site_inputs,
     site_slots,
 )
+from htk.theory import lower_key as lib_lower_key
+from htk.theory import whole_key as lib_whole_key
 
 # ---------------------------------------------------------------------------
 # boundary keys
@@ -231,11 +243,11 @@ def _free_assignments(T, lay, C):
         yield from rec(0, asg)
 
 
-def check_associativity(T, bound, viol, warn, sample=1):
+def check_associativity(T, bound, viol, warn):
     """A drop-in for ``theory._check_associativity``."""
     n = T.n
     skipped_units = False
-    for A in enumerate_arities(n + 2, bound, T.variance)[::sample]:
+    for A in enumerate_arities(n + 2, bound, T.variance):
         C = concrete(A)
         lay = layout(A)
         lv = C.levels[n]
@@ -398,6 +410,84 @@ def endo_planar(T, x):
         tentry = T.composition[(canonical_key(laysa.arity), lower_key(laysa, tasg.__getitem__))]
         V.composition[(bk, lk)] = {inputs: tentry[inputs] for inputs in site_inputs(V, slots)}
     return V
+
+
+# ---------------------------------------------------------------------------
+# keys through a morphism, one caller at a time
+
+
+def image_key(F, ak, key, lower):
+    """A drop-in for ``theory.image_key``, told whether ``key`` is a lower
+    key; dimension 0's ``""`` maps to ``()``."""
+    if not ak:
+        return ()
+    lay = layout(_arity_of_key(ak, F.source.arity_bound))
+    asg = map_assignment(F, lay, key_assignment(lay.spec, key))
+    return (lib_lower_key if lower else lib_whole_key)(lay.spec, asg.__getitem__)
+
+
+def compose_morphisms(G, F):
+    """A drop-in for ``graded.compose_morphisms``."""
+    if F.target != G.source:
+        raise ValueError("morphisms do not compose")
+    actions = {0: {DIM0_KEY: {c: G.act(0, "", (), img) for c, img in F.actions[0][DIM0_KEY].items()}}}
+    for d in range(1, F.source.n + 1):
+        actions[d] = {}
+        for (ak, skey), mp in F.actions.get(d, {}).items():
+            lay = layout(_arity_of_key(ak, F.source.arity_bound))
+            asg = key_assignment(lay.spec, skey)
+            mkey = lib_whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
+            actions[d][(ak, skey)] = {a: G.act(d, ak, mkey, b) for a, b in mp.items()}
+    return TheoryMorphism(F.source, G.target, actions)
+
+
+def morphism_from_maps(S, T, colour_map, label_map=None):
+    """A drop-in for ``graded.morphism_from_maps`` as it was: a colour map,
+    and a rule for the labels of dimension 1 and up."""
+    actions = {0: {DIM0_KEY: {c: colour_map(c) for c in S.label_set(0)}}}
+    F = TheoryMorphism(S, T, actions)
+    for d in range(1, S.n + 1):
+        actions[d] = {}
+        for (ak, skey), labs in S.table(d).items():
+            lay = layout(_arity_of_key(ak, S.arity_bound))
+            asg = key_assignment(lay.spec, skey)
+            tkey = lib_whole_key(lay.spec, map_assignment(F, lay, asg).__getitem__)
+            actions[d][(ak, skey)] = {lab: label_map(d, ak, skey, tkey, lab) for lab in labs}
+    return F
+
+
+def _pair_assignment(p, lay, asg):
+    """Annotate every assigned address with its image under p."""
+    return {ad: (img, asg[ad]) for ad, img in map_assignment(p, lay, asg).items()}
+
+
+def from_projection(Y, p):
+    """A drop-in for ``graded.from_projection``."""
+    base = p.target
+    n = Y.n
+    zero = {u: tuple(c for c in Y.label_set(0) if p.act(0, "", (), c) == u) for u in base.label_set(0)}
+    tables = {0: {DIM0_KEY: zero}}
+    for d in range(1, n + 1):
+        tables[d] = table = {}
+        for (ak, skey), labs in Y.table(d).items():
+            lay = layout(_arity_of_key(ak, Y.arity_bound))
+            pasg = _pair_assignment(p, lay, key_assignment(lay.spec, skey))
+            gkey = lib_whole_key(lay.spec, pasg.__getitem__)
+            bkey = lib_whole_key(lay.spec, lambda ad: pasg[ad][0])
+            table[(ak, gkey)] = {
+                v: tuple(y for y in labs if p.act(d, ak, skey, y) == v) for v in base.label_set(d, ak, bkey)
+            }
+    comp = {}
+    for (ak, lk), entry in Y.composition.items():
+        lay = layout(_arity_of_key(ak, Y.arity_bound))
+        asg = key_assignment(lay.spec, lk)
+        glk = lib_lower_key(lay.spec, _pair_assignment(p, lay, asg).__getitem__)
+        keys = site_slots(lay, asg.__getitem__)()
+        comp[(ak, glk)] = {
+            tuple((p.act(*key, y), y) for key, y in zip(keys, ins)): (p.act(*keys[-1], out), out)
+            for ins, out in entry.items()
+        }
+    return _graded(base, tables, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +822,7 @@ def validate_category(C):
                             rhs = C.compose[((x, y, w), (f, C.compose[((y, z, w), (g, h))]))]
                             if lhs != rhs:
                                 v.append(Violation("associativity", (x, y, z, w), (f, g, h), lhs, rhs))
-    return ValidationReport("pass" if not v else "fail", tuple(v), ())
+    return ValidationReport(tuple(v), ())
 
 
 def validate_base(B, assoc_cap=200_000):
@@ -812,7 +902,7 @@ def validate_base(B, assoc_cap=200_000):
                     cap = max((len(m) for m in pool), default=0)
                     if fm not in pool and len(fm) <= cap:
                         v.append(Violation("tensor-closure", (src, tgt), (f1, f2), "morphism", fm))
-    return ValidationReport("pass" if not v else "fail", tuple(v), ())
+    return ValidationReport(tuple(v), ())
 
 
 def bord1_skeleton(max_points=2, max_circles=1):

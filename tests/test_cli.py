@@ -461,6 +461,14 @@ class TestVerbs:
         assert run(["apply", "pushL", str(tg), str(pb), "-o", str(pl)], capsys)[0] == 0
         assert run(["validate", str(pl)], capsys)[0] == 0
 
+    def test_validate_rejects_a_stray_composition_input(self, tmp_path, capsys):
+        T = assoc_operad()
+        T.composition[("k2|t0|1/", (("*",), ()))][("junk",)] = (1,)
+        src = tmp_path / "stray.json"
+        src.write_text(serialize(T))
+        code, out, _ = run(["validate", str(src)], capsys)
+        assert code == 1 and out.startswith("stray-composition at 'k2|t0|1/'")
+
     def test_apply_endo_of_a_unitless_theory(self, tmp_path, capsys):
         src, out = tmp_path / "nounit.json", tmp_path / "en.json"
         src.write_text(serialize(unitless()))

@@ -168,6 +168,9 @@ CASES = {
             1,
         )
     ),
+    "convolve:init": lambda: serialize(
+        convolve(product_graded(init_operad(bound=1), 2, bound=1), terminal_graded(init_operad(bound=1), bound=1), 1)
+    ),
     "violations:n0": _fault_0,
     "violations:n1": _fault_1,
     "violations:n1:tables": _fault_1_tables,
@@ -177,6 +180,7 @@ GOLDEN = {
     "algebra:dim1": "83316de6598d35e761479a16b17d4bd3bffeb2f21efa72a37ecc5f728d5f80e7",
     "algebra:dim2": "34ffa9b92301930b1fa2a6cc4d8bf4b3801be301ca26efd9050f8b89498d7607",
     "convolve:cyclic": "45f445e40fb122ac2b4e44b742cd9fd2bb5ea41f169cca2987ec6487b07e37ab",
+    "convolve:init": "3903b25241742ef6ce7de633e0d063cfe1082006dc8757245350edd8c60758eb",
     "deloop:cyclic": "8ee1a4967dea23f3af9d25893d34b35cb96cabf62a5c7788524bce5587f0384c",
     "deloop:monoid": "eb66e6d40d81d5268a79cda2d7a376513ac14c0645ed2ead6c73706735269ee7",
     "deloop:theta": "a54593ff33489af4c73cbf42497f806e11a16bbd4ae97511a715bcaf10f7e84f",

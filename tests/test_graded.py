@@ -50,7 +50,7 @@ def collapse_functor(bound=2):
     C4 = discrete_category(4, bound=bound)
     C2 = discrete_category(2, bound=bound)
     return morphism_from_maps(
-        C4, C2, lambda c: f"x{int(c[1]) % 2}", lambda d, ak, sk, tk, lab: "id"
+        C4, C2, lambda d, ak, sk, tk, lab: f"x{int(lab[1]) % 2}" if d == 0 else "id"
     )
 
 
@@ -209,7 +209,7 @@ class TestRightPushCollapse:
         X = product_graded(VP, 2, bound=1)
         R = push_right(V, X, 1)
         iso = morphism_from_maps(
-            theta(U, 1), theta(VP, 1), lambda a: (a, POINT), lambda d, ak, sk, tk, l: POINT
+            theta(U, 1), theta(VP, 1), lambda d, ak, sk, tk, l: (l, POINT) if d == 0 else POINT
         )
         assert validate_morphism(iso, 1).status == "pass"
         assert pullback(iso, theta_graded(X, 1), 1) == relabel_graded(
@@ -227,8 +227,7 @@ class TestRightPushCollapse:
         iso = morphism_from_maps(
             theta(U, 1),
             theta(VP, 1),
-            lambda u: (u, "*"),
-            lambda d, ak, sk, tk, l: (l, POINT) if d == 1 else POINT,
+            lambda d, ak, sk, tk, l: (l, "*") if d == 0 else (l, POINT) if d == 1 else POINT,
         )
         assert validate_morphism(iso, 1).status == "pass"
         assert pullback(iso, theta_graded(X, 1), 1) == relabel_graded(

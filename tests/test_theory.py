@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from htk.arity import Arity, GeneralArity, Level, canonical_key, decompose_general, layout
-from htk.constructions import endo_planar
+from htk.constructions import detheorize_T, endo_planar
 from htk.theory import (
     DIM0_KEY,
     compose,
@@ -26,6 +26,22 @@ from htk.zoo import (
     terminal_theory,
 )
 from htk.arity import enumerate_arities
+
+
+def with_stray_inputs(T, key, strays):
+    """A copy of T whose composition entry at ``key`` also holds the
+    input tuples ``strays``, each sent to the entry's first output."""
+    U = copy.deepcopy(T)
+    entry = U.composition[key]
+    out = next(iter(entry.values()))
+    entry.update((ins, out) for ins in strays)
+    return U
+
+
+STRAYS = {
+    "assoc:nullary": (lambda: assoc_operad(), ("k2|t0|1/", (("*",), ())), [("junk",), ("alpha",)]),
+    "cyclic:binary": (lambda: cyclic_monoid_theory(2), ("k1|t2|", ()), [(5, 5)]),
+}
 
 
 def mk2(top, sizes, maps):
@@ -99,6 +115,21 @@ class TestValidateZoo:
             rep = validate_theory(U)
             assert rep.status == "fail"
             assert any(v.arity_key for v in rep.violations)
+
+    @pytest.mark.parametrize("name", sorted(STRAYS))
+    def test_stray_composition_inputs_fail_with_witness(self, name):
+        # an entry holding input tuples beyond its site's: one violation
+        # per stray input, in repr order, and none for the other inputs
+        make, key, strays = STRAYS[name]
+        T = make()
+        U = with_stray_inputs(T, key, strays)
+        rep = validate_theory(U)
+        assert rep.status == "fail"
+        got = [(v.law, v.arity_key, v.witness[-1], v.expected) for v in rep.violations]
+        assert got == [("stray-composition", key[0], ins, "absent") for ins in sorted(strays, key=repr)]
+        # a construction that copies whole entries carries the stray inputs
+        if T.n:
+            assert validate_theory(detheorize_T(U)).status == "fail"
 
     def test_unit_removal_warns(self):
         T = cyclic_monoid_theory(2)
