@@ -37,7 +37,7 @@ of objects of C exactly when every isomorphism in C is an identity.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, islice, permutations, product
 from math import inf, prod
 
@@ -283,6 +283,18 @@ class BasePresentation:
     ind_morphisms: dict
     identity: dict
     compose: dict
+
+    @cached_property
+    def gluings(self):
+        """The sorted shapes, and the first instance in ``compose`` order
+        of each gluing class (:func:`_gluing_key`) as ``(inst,
+        *_instance_places(...))``: what every field-theory search re-reads."""
+        shapes = tuple(sorted(self.ind_morphisms))
+        reps = {}
+        for inst, h in self.compose.items():
+            places = _instance_places(inst, h, shapes)
+            reps.setdefault(_gluing_key(inst, h, places), (inst, *places))
+        return shapes, tuple(reps.values())
 
 
 def detached_shape(src_obj, tgt_obj, comp):
@@ -1051,18 +1063,22 @@ def field_theories(Z, budget=1_000_000):
     every candidate below it at once (forward checking).  Raises
     RuntimeError past ``budget`` examined candidates, rejected ones
     included, saying how many were examined and kept.
+
+    One instance per gluing class is checked (``B.gluings``), on this
+    contract: ``Z``'s composition reads an instance only through its
+    gluing (the paths ``_comp_plan`` traces and the generators at their
+    ports), so a class passes or fails as one.  ``zc_build`` and
+    ``terminal_bgraded`` meet it by construction.
     """
     B = Z.base
     gens = tuple(B.ind_objects)
-    shapes = tuple(sorted(B.ind_morphisms))
+    shapes, reps = B.gluings
 
     id_shape = {}
     for g in gens:
         idm = B.identity.get((g,))
         if idm is not None and len(idm) == 1:
             id_shape[detached_shape((g,), (g,), idm[0])] = g
-
-    insts = [(inst, *_instance_places(inst, h, shapes)) for inst, h in B.compose.items()]
 
     out = []
     seen = 0
@@ -1081,7 +1097,7 @@ def field_theories(Z, budget=1_000_000):
         else:
             coloured = {obj: tuple(cols[s] for s in obj) for obj in B.objects}
             checks = [[] for _ in range(len(shapes) + 1)]
-            for inst, d, nf, ng, nh in insts:
+            for inst, d, nf, ng, nh in reps:
                 a, b, c = inst[0]
                 checks[d].append((inst, (coloured[a], coloured[b], coloured[c]), nf, ng, nh))
             # below[d]: the candidates under one labelling of the first d shapes
@@ -1116,17 +1132,42 @@ def field_theories(Z, budget=1_000_000):
     return out
 
 
-@lru_cache(maxsize=None)
 def _instance_places(inst, h, shapes):
     """Where field_theories checks a base composition instance.
 
     Returns the number of labels fixed once the last of its shapes is
     labelled, then the positions in ``shapes`` of the detached shapes of
-    its two factors and of its composite.  Memoised since every search
-    re-reads them.
+    its two factors and of its composite.
     """
     (a, b, c), (f, g) = inst
     nf, ng, nh = (
         tuple(shapes.index(detached_shape(s, t, comp)) for comp in m) for s, t, m in ((a, b, f), (b, c, g), (a, c, h))
     )
     return 1 + max(nf + ng + nh, default=-1), nf, ng, nh
+
+
+def _gluing_key(inst, h, places):
+    """The gluing class of an instance: for each chain of ``_comp_plan``
+    the generator at its start port, each step's (label shape index,
+    generator at its port) and the shape index at its place in ``h``;
+    the same for each loop without the place; the shape indices of the
+    circles and rings; and ``len(h)``.  Without a plan, or with a
+    component neither interval nor circle, ``inst`` is a class of its own."""
+    objs, (f, g) = inst
+    plan = None if any(m[0] not in ("i", "o") for m in f + g + h) else _comp_plan(inst, h)
+    if plan is None:
+        return inst
+    chains, loops, circles, rings = plan
+    _, nf, ng, nh = places
+    read = nf + ng
+
+    def path(start, steps):
+        return (objs[start[0]][start[1]],) + tuple((read[i], objs[side][slot]) for i, side, slot in steps)
+
+    return (
+        tuple((path(start, steps), nh[at]) for start, steps, at in chains),
+        tuple(path(start, steps) for start, steps in loops),
+        tuple(read[i] for i in circles),
+        tuple(nh[k] for k in rings),
+        len(h),
+    )

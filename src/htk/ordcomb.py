@@ -10,7 +10,7 @@ Two variances are supported throughout: "symmetric" (arbitrary maps of
 finite sets) and "planar" (order-preserving maps only).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, product
 

@@ -35,7 +35,6 @@ from .arity import (
     arity_of_key,
     canonical_key,
     decompose,
-    decompose_general,
     enumerate_arities,
     index_bound,
     layout,
@@ -333,14 +332,6 @@ def mul(T, a, tkey):
     return T.label_set(a.k, canonical_key(a), tkey)
 
 
-def mul_general(T, ga, tkeys):
-    """All label tuples of a non-elemental arity: the product over its
-    elemental components, with ``tkeys`` mapping footprints to boundary
-    keys of the components."""
-    parts = decompose_general(ga)
-    return tuple(product(*[mul(T, part, tkeys[fp]) for fp, part in parts]))
-
-
 def compose(T, a, asg, inputs):
     """Compose top-dimension labels along an elemental (n+1)-arity.
 
@@ -357,22 +348,6 @@ def compose(T, a, asg, inputs):
     if entry is None or tuple(inputs) not in entry:
         raise KeyError(f"no composition entry for {key}")
     return entry[tuple(inputs)]
-
-
-def compose_general(T, ga, parts_data):
-    """Compose along a non-elemental (n+1)-arity fiberwise.
-
-    ``parts_data`` pairs each component (in decomposition order) with
-    its (asg, inputs); the result is the tuple of componentwise
-    composites.
-    """
-    parts = decompose_general(ga)
-    if len(parts) != len(parts_data):
-        raise ValueError("component data length mismatch")
-    return tuple(
-        compose(T, part, asg, inputs)
-        for (_, part), (asg, inputs) in zip(parts, parts_data)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -58,18 +58,27 @@ Differential tests compare the library against these:
   indecomposables, identities and composites, where ``bases`` hands a
   composite rule to one tabulator;
 * ``cospan_clusters`` and ``loop_classes``: each with its own
-  union-find, where ``bases`` shares one (``_classes``).
+  union-find, where ``bases`` shares one (``_classes``);
+* ``field_theories``: the forward-checked search that checks every base
+  composition instance, where ``bases.field_theories`` checks one
+  instance per gluing class (``BasePresentation.gluings``);
+* ``mul_general`` and ``compose_general``: label sets and composites of
+  a non-elemental arity, one elemental component at a time, which no
+  library route reads.
 """
 
+import functools
 import json
 from itertools import combinations_with_replacement, permutations, product
+from math import prod
 
-from htk.arity import Arity, arity_of_key, canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
+from htk.arity import Arity, arity_of_key, canonical_key, concrete, decompose, decompose_general, enumerate_arities, layout, resolve_leaf, slot_ctx
 from htk.bases import (
     BasePresentation,
     _bord_chains,
     _chain_end,
     _flow,
+    _instance_places,
     _set_partitions,
     detached_shape,
     tensor_morphisms,
@@ -89,8 +98,10 @@ from htk.theory import (
     _arity_of_key,
     _coloured,
     build_theory,
+    compose,
     key_assignment,
     map_assignment,
+    mul,
     site_inputs,
     site_slots,
 )
@@ -1069,3 +1080,104 @@ def loop_classes(C):
         for m in members:
             cls[m] = rep
     return cls
+
+
+# ---------------------------------------------------------------------------
+# field theories, every instance checked
+
+
+_places = functools.lru_cache(maxsize=None)(_instance_places)
+
+
+def field_theories(Z, budget=1_000_000):
+    """``bases.field_theories`` checking every base composition instance
+    as soon as the last of its shapes is labelled, not one per gluing
+    class."""
+    B = Z.base
+    gens = tuple(B.ind_objects)
+    shapes = tuple(sorted(B.ind_morphisms))
+
+    id_shape = {}
+    for g in gens:
+        idm = B.identity.get((g,))
+        if idm is not None and len(idm) == 1:
+            id_shape[detached_shape((g,), (g,), idm[0])] = g
+
+    insts = [(inst, *_places(inst, h, shapes)) for inst, h in B.compose.items()]
+
+    out = []
+    seen = 0
+    for colchoice in product(*(Z.colours[g] for g in gens)):
+        cols = dict(zip(gens, colchoice))
+        opts = []
+        for shape in shapes:
+            so, to = B.ind_morphisms[shape]
+            labs = Z.multimaps.get((shape, tuple(cols[s] for s in so), tuple(cols[t] for t in to)), ())
+            if shape in id_shape and Z.units:
+                forced = Z.units.get((id_shape[shape], cols[id_shape[shape]]))
+                labs = (forced,) if forced in labs else ()
+            if not labs:
+                break
+            opts.append(labs)
+        else:
+            coloured = {obj: tuple(cols[s] for s in obj) for obj in B.objects}
+            checks = [[] for _ in range(len(shapes) + 1)]
+            for inst, d, nf, ng, nh in insts:
+                a, b, c = inst[0]
+                checks[d].append((inst, (coloured[a], coloured[b], coloured[c]), nf, ng, nh))
+            below = [prod(len(o) for o in opts[d:]) for d in range(len(shapes) + 1)]
+            labs, picks = [], []
+            while True:
+                d = len(labs)
+                passed = all(
+                    Z.composition(inst, ccols, tuple([labs[k] for k in nf]), tuple([labs[k] for k in ng]))
+                    == tuple([labs[k] for k in nh])
+                    for inst, ccols, nf, ng, nh in checks[d]
+                )
+                if passed and d < len(shapes):
+                    labs.append(opts[d][0])
+                    picks.append(0)
+                    continue
+                seen += below[d]
+                if seen > budget:
+                    raise RuntimeError(
+                        f"field theory enumeration budget exceeded after examining {budget} candidates "
+                        f"({len(out)} field theories found)"
+                    )
+                if passed:
+                    out.append((dict(cols), dict(zip(shapes, labs))))
+                while picks and picks[-1] + 1 == len(opts[len(picks) - 1]):
+                    del labs[-1], picks[-1]
+                if not picks:
+                    break
+                picks[-1] += 1
+                labs[-1] = opts[len(picks) - 1][picks[-1]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# non-elemental arities
+
+
+def mul_general(T, ga, tkeys):
+    """All label tuples of a non-elemental arity: the product over its
+    elemental components, with ``tkeys`` mapping footprints to boundary
+    keys of the components."""
+    parts = decompose_general(ga)
+    return tuple(product(*[mul(T, part, tkeys[fp]) for fp, part in parts]))
+
+
+def compose_general(T, ga, parts_data):
+    """Compose along a non-elemental (n+1)-arity fiberwise.
+
+    ``parts_data`` pairs each component (in decomposition order) with
+    its (asg, inputs); the result is the tuple of componentwise
+    composites.
+    """
+    parts = decompose_general(ga)
+    if len(parts) != len(parts_data):
+        raise ValueError("component data length mismatch")
+    return tuple(
+        compose(T, part, asg, inputs)
+        for (_, part), (asg, inputs) in zip(parts, parts_data)
+    )

@@ -33,7 +33,7 @@ from htk.ordcomb import (
     enumerate_maps,
     pushforward_nerve,
 )
-from htk.theory import SKIP, build_theory, enumerate_morphisms, validate_theory
+from htk.theory import SKIP, build_theory, validate_theory
 from htk.zoo import (
     assoc_operad,
     cyclic_monoid_theory,

@@ -3,17 +3,14 @@
 import copy
 
 import pytest
+from oracles import compose_general, mul_general
 
-from htk.arity import Arity, GeneralArity, Level, canonical_key, decompose_general, layout
+from htk.arity import Arity, GeneralArity, Level, decompose_general, layout
 from htk.constructions import detheorize_T, endo_planar
 from htk.theory import (
-    DIM0_KEY,
     compose,
-    compose_general,
     enumerate_morphisms,
     identity_morphism,
-    mul,
-    mul_general,
     stratum_sites,
     validate_morphism,
     validate_theory,
