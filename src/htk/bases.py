@@ -191,8 +191,9 @@ def enumerate_categories(max_obj, max_arrows):
     """Yield every labelled finite category within the given size box.
 
     Objects are ``x0..x{k-1}``; arrow labels are positional.  The
-    composition table is filled by backtracking with incremental
-    associativity pruning; identity composites are forced up front.
+    composition table is filled by backtracking; identity composites are
+    forced up front, and after each choice every composable triple of
+    the partial table is checked for associativity again.
     """
     for k in range(1, max_obj + 1):
         obs = tuple(f"x{i}" for i in range(k))

@@ -773,137 +773,76 @@ def enumerate_graded_presentations(U, objects, cap, bound=None):
     for _, _, ak, _, lk, site in composition_sites(S, enumerate_arities(n + 1, bound, U.variance)):
         bentry = U.composition.get((ak, _project_key(lk, n + 1)))
         if bentry is not None:
-            keys = site()
-            shapes.append(((ak, lk), keys[:-1], keys[-1], bentry))
+            ends = site()
+            shapes.append(((ak, lk), ends[:-1], ends[-1], bentry))
+    keys = [key for key, *_ in shapes]
     for sizes in product(range(cap + 1), repeat=len(slots)):
         fibres = {key: {} for key in sites}
         for (key, v), s in zip(slots, sizes):
             fibres[key][v] = tuple(f"m{i}" for i in range(s))
-        entry_slots, comp_keys, dead = [], [], False
+        # one cell per input tuple; its choices are the target fibre
+        cells, choices = [], []
         for key, chain, (_, tak, tgk), bentry in shapes:
-            comp_keys.append(key)
             csets = [
                 [(v, y) for v, ys in fibres.get((cak, cgk), {}).items() for y in ys]
                 for _, cak, cgk in chain
             ]
             for ins in product(*csets):
                 vout = bentry[tuple(e[0] for e in ins)]
-                tfib = fibres.get((tak, tgk), {}).get(vout, ())
-                if not tfib:
-                    dead = True
-                    break
-                entry_slots.append((key, ins, vout, tfib))
-            if dead:
+                cells.append((key, ins, vout))
+                choices.append(fibres.get((tak, tgk), {}).get(vout, ()))
+            if () in choices:
                 break
-        if dead:
-            continue
-        for choice in product(*[tfib for *_, tfib in entry_slots]):
-            comp = {key: {} for key in comp_keys}
-            for (key, ins, vout, _), y in zip(entry_slots, choice):
+        for choice in product(*choices):
+            comp = {key: {} for key in keys}
+            for (key, ins, vout), y in zip(cells, choice):
                 comp[key][ins] = (vout, y)
             tables = {n: dict(fibres)}
             tables.setdefault(0, {DIM0_KEY: dict(objects)})
             yield _graded(U, tables, comp)
 
 
-def _enumerate_algebras_1(W, cap, bound):
-    """Algebra candidates over a one-dimensional acting presentation:
-    fibres over its colours plus one total map per forced boundary."""
-    bound = W.arity_bound if bound is None else bound
-    cols = W.label_set(0)
-    B = _degree_monoid(W, bound)
-    shapes = [
-        (canonical_key(P), P.top, B.composition.get((canonical_key(P), ())))
-        for P in enumerate_arities(1, bound, W.variance)
-    ]
-    for sizes in product(range(cap + 1), repeat=len(cols)):
-        fibres = {u: tuple(f"m{i}" for i in range(s)) for u, s in zip(cols, sizes)}
-        keys, options, dead = [], [], False
-        for ak, top, bentry in shapes:
-            if bentry is None:
-                continue
-            for us in product(cols, repeat=top):
-                u_out = bentry.get(us)
-                if u_out is None:
-                    continue
-                dom = list(product(*[fibres[u] for u in us]))
-                cod = fibres[u_out]
-                if dom and not cod:
-                    dead = True
-                    break
-                keys.append((ak, us + (u_out,)))
-                options.append(
-                    [dict(zip(dom, outs)) for outs in product(cod, repeat=len(dom))]
-                    if dom
-                    else [{}]
-                )
-            if dead:
-                break
-        if dead:
-            continue
-        for combo in product(*options):
-            yield AlgebraPresentation(W, {}, fibres, dict(zip(keys, combo)))
-
-
 def enumerate_algebra_presentations(W, objects, cap, bound=None):
-    """All algebra candidates over a two-dimensional acting presentation
-    with the given objects and fibre sizes up to ``cap`` (one total
-    action map per compatible boundary); filter with
-    :func:`validate_algebra`."""
-    if W.n == 1:
-        yield from _enumerate_algebras_1(W, cap, bound)
-        return
-    if W.n != 2:
+    """All algebra candidates over a one- or two-dimensional acting
+    presentation: fibre sizes up to ``cap`` on every slot and one total
+    action map per shape (action key, input slots, output slot); filter
+    with :func:`validate_algebra`.  In dimension 1 the slots are W's
+    colours and the shapes its degree monoid's entries (``objects`` is
+    unused).  In dimension 2 both come from the site walk of a pair
+    skeleton: W's colours refined by ``objects``, with W's labels.
+    """
+    if W.n not in (1, 2):
         raise ValueError("implemented for acting dimensions 1 and 2")
     bound = W.arity_bound if bound is None else bound
-    cols = tuple((u, x) for u in W.label_set(0) for x in objects.get(u, ()))
-    fslots = []
-    for a in enumerate_arities(1, bound, W.variance):
-        ak = canonical_key(a)
-        for pc in product(cols, repeat=a.top + 1):
-            bcols = tuple(c[0] for c in pc)
-            for lam in W.label_set(1, ak, (bcols,)):
-                fslots.append((ak, pc, lam))
-    shapes = []
-    for a in enumerate_arities(2, bound, W.variance):
-        lay = layout(a)
-        ak2 = canonical_key(a)
-        for pcols in product(cols, repeat=lay.colour_count):
-            pasg = {("c", i): c for i, c in enumerate(pcols)}
-            atoms = [lay.atom(ad) for ad in lay.chain_addrs] + [lay.atom(lay.target_addr)]
-            infos = []
-            for at in atoms:
-                cak = canonical_key(at.spec.arity)
-                pck = tuple(pasg[a2] for a2 in at.spec.colours)
-                infos.append((at.address, cak, pck, W.label_set(1, cak, (tuple(e[0] for e in pck),))))
-            for lams in product(*[info[3] for info in infos]):
-                wasg = {("c", i): pcols[i][0] for i in range(lay.colour_count)}
-                for (addr, _, _, _), lam in zip(infos, lams):
-                    wasg[addr] = lam
-                wkey = whole_key(lay.spec, wasg.__getitem__)
-                chainslots = [
-                    (cak, pck, lam) for (_, cak, pck, _), lam in zip(infos[:-1], lams[:-1])
-                ]
-                tslot = (infos[-1][1], infos[-1][2], lams[-1])
-                for mu in W.label_set(2, ak2, wkey):
-                    shapes.append(((ak2, pcols, lams[:-1], lams[-1], mu), chainslots, tslot))
-    for sizes in product(range(cap + 1), repeat=len(fslots)):
-        fibres = {slot: tuple(f"m{i}" for i in range(s)) for slot, s in zip(fslots, sizes)}
-        keys, options, dead = [], [], False
-        for key, chainslots, tslot in shapes:
-            dom = list(product(*[fibres.get(cs, ()) for cs in chainslots]))
-            cod = fibres.get(tslot, ())
-            if dom and not cod:
-                dead = True
+    if W.n == 1:
+        objects, slots = {}, W.label_set(0)
+        shapes = [
+            ((ak, us + (u_out,)), us, u_out)
+            for (ak, _), entry in _degree_monoid(W, bound).composition.items()
+            for us, u_out in entry.items()
+        ]
+    else:
+        S = _coloured(2, W.variance, 2, W.arity_bound, ((u, x) for u in W.label_set(0) for x in objects.get(u, ())))
+
+        def base_key(key):
+            return (tuple(c[0] for c in key[0]),) + key[1:]
+
+        slots = []
+        for *_, ak, _, key in stratum_sites(S, 1, enumerate_arities(1, bound, W.variance)):
+            S.strata[1][(ak, key)] = labs = W.label_set(1, ak, base_key(key))
+            slots.extend((ak, key[0], lam) for lam in labs)
+        shapes = []
+        for _, lay, ak, asg, key in stratum_sites(S, 2, enumerate_arities(2, bound, W.variance)):
+            *ins, out = [(ck, tuple(map(asg.__getitem__, spec.colours)), asg[ad]) for ad, _, ck, spec in lay.steps]
+            shapes.extend(((ak, key[0], key[2], key[3], mu), ins, out) for mu in W.label_set(2, ak, base_key(key)))
+    keys = [key for key, *_ in shapes]
+    for sizes in product(range(cap + 1), repeat=len(slots)):
+        fibres = {slot: tuple(f"m{i}" for i in range(s)) for slot, s in zip(slots, sizes)}
+        options = []
+        for _, ins, out in shapes:
+            dom = list(product(*[fibres[slot] for slot in ins]))
+            options.append([dict(zip(dom, outs)) for outs in product(fibres[out], repeat=len(dom))])
+            if not options[-1]:
                 break
-            funcs = (
-                [dict(zip(dom, outs)) for outs in product(cod, repeat=len(dom))]
-                if dom
-                else [{}]
-            )
-            keys.append(key)
-            options.append(funcs)
-        if dead:
-            continue
         for combo in product(*options):
             yield AlgebraPresentation(W, dict(objects), fibres, dict(zip(keys, combo)))

@@ -327,11 +327,6 @@ def build_theory(n, variance, bound, colours, label_rule, comp_rule, extra=None)
 # multimap sets and composition
 
 
-def mul(T, a, tkey):
-    """The label set of an elemental arity at a boundary key."""
-    return T.label_set(a.k, canonical_key(a), tkey)
-
-
 def compose(T, a, asg, inputs):
     """Compose top-dimension labels along an elemental (n+1)-arity.
 

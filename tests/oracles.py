@@ -64,7 +64,15 @@ Differential tests compare the library against these:
   instance per gluing class (``BasePresentation.gluings``);
 * ``mul_general`` and ``compose_general``: label sets and composites of
   a non-elemental arity, one elemental component at a time, which no
-  library route reads.
+  library route reads, and ``mul``, the label set of one elemental
+  arity, which only they read;
+* ``enumerate_graded_presentations`` and
+  ``enumerate_algebra_presentations`` (with ``_enumerate_algebras_1``):
+  the candidate enumerators of the structure theorem with a ``dead``
+  flag per size vector, and for the algebras a body of their own for
+  acting dimension 1 and a dimension-2 layout walk by hand, where
+  ``graded`` lists its fibre slots and shapes once (in dimension 2 from
+  the site walk of a pair skeleton) and runs one candidate loop.
 """
 
 import functools
@@ -86,7 +94,7 @@ from htk.bases import (
 )
 from htk.cli import FORMAT, FormatError
 from htk.constructions import _fl_tau, _suspend
-from htk.graded import GradedTheoryPresentation, _graded
+from htk.graded import AlgebraPresentation, GradedTheoryPresentation, _degree_monoid, _graded, _project_key
 from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import (
     DIM0_KEY,
@@ -101,7 +109,6 @@ from htk.theory import (
     compose,
     key_assignment,
     map_assignment,
-    mul,
     site_inputs,
     site_slots,
 )
@@ -600,6 +607,159 @@ def enumerate_graded_0(U, cap, bound=None):
             for (key, ins, vout, _), y in zip(entry_slots, choice):
                 comp[key][ins] = (vout, y)
             yield GradedTheoryPresentation(U, {}, {}, {DIM0_KEY: fib}, comp)
+
+
+# ---------------------------------------------------------------------------
+# candidate enumerators of the structure theorem
+
+
+def enumerate_graded_presentations(U, objects, cap, bound=None):
+    """``graded.enumerate_graded_presentations`` with a ``dead`` flag that
+    skips a size vector as soon as a forced composite has an empty target
+    fibre."""
+    n = U.n
+    bound = U.arity_bound if bound is None else bound
+    S = _coloured(n, U.variance, n, bound, ((u, x) for u in U.label_set(0) for x in objects.get(u, ())))
+    sites = [DIM0_KEY]
+    if n:
+        sites = [(ak, key) for *_, ak, _, key in stratum_sites(S, 1, enumerate_arities(1, bound, U.variance))]
+    slots = [(key, v) for key in sites for v in U.label_set(n, key[0], _project_key(key[1], n))]
+    shapes = []
+    for _, _, ak, _, lk, site in composition_sites(S, enumerate_arities(n + 1, bound, U.variance)):
+        bentry = U.composition.get((ak, _project_key(lk, n + 1)))
+        if bentry is not None:
+            keys = site()
+            shapes.append(((ak, lk), keys[:-1], keys[-1], bentry))
+    for sizes in product(range(cap + 1), repeat=len(slots)):
+        fibres = {key: {} for key in sites}
+        for (key, v), s in zip(slots, sizes):
+            fibres[key][v] = tuple(f"m{i}" for i in range(s))
+        entry_slots, comp_keys, dead = [], [], False
+        for key, chain, (_, tak, tgk), bentry in shapes:
+            comp_keys.append(key)
+            csets = [
+                [(v, y) for v, ys in fibres.get((cak, cgk), {}).items() for y in ys]
+                for _, cak, cgk in chain
+            ]
+            for ins in product(*csets):
+                vout = bentry[tuple(e[0] for e in ins)]
+                tfib = fibres.get((tak, tgk), {}).get(vout, ())
+                if not tfib:
+                    dead = True
+                    break
+                entry_slots.append((key, ins, vout, tfib))
+            if dead:
+                break
+        if dead:
+            continue
+        for choice in product(*[tfib for *_, tfib in entry_slots]):
+            comp = {key: {} for key in comp_keys}
+            for (key, ins, vout, _), y in zip(entry_slots, choice):
+                comp[key][ins] = (vout, y)
+            tables = {n: dict(fibres)}
+            tables.setdefault(0, {DIM0_KEY: dict(objects)})
+            yield _graded(U, tables, comp)
+
+
+def _enumerate_algebras_1(W, cap, bound):
+    """Algebra candidates over a one-dimensional acting presentation:
+    fibres over its colours plus one total map per forced boundary."""
+    bound = W.arity_bound if bound is None else bound
+    cols = W.label_set(0)
+    B = _degree_monoid(W, bound)
+    shapes = [
+        (canonical_key(P), P.top, B.composition.get((canonical_key(P), ())))
+        for P in enumerate_arities(1, bound, W.variance)
+    ]
+    for sizes in product(range(cap + 1), repeat=len(cols)):
+        fibres = {u: tuple(f"m{i}" for i in range(s)) for u, s in zip(cols, sizes)}
+        keys, options, dead = [], [], False
+        for ak, top, bentry in shapes:
+            if bentry is None:
+                continue
+            for us in product(cols, repeat=top):
+                u_out = bentry.get(us)
+                if u_out is None:
+                    continue
+                dom = list(product(*[fibres[u] for u in us]))
+                cod = fibres[u_out]
+                if dom and not cod:
+                    dead = True
+                    break
+                keys.append((ak, us + (u_out,)))
+                options.append(
+                    [dict(zip(dom, outs)) for outs in product(cod, repeat=len(dom))]
+                    if dom
+                    else [{}]
+                )
+            if dead:
+                break
+        if dead:
+            continue
+        for combo in product(*options):
+            yield AlgebraPresentation(W, {}, fibres, dict(zip(keys, combo)))
+
+
+def enumerate_algebra_presentations(W, objects, cap, bound=None):
+    """``graded.enumerate_algebra_presentations`` with a body of its own
+    for acting dimension 1 (``_enumerate_algebras_1``), a dimension-2
+    layout walk by hand through ``layout``, ``product`` and ``whole_key``,
+    and a ``dead`` flag per size vector."""
+    if W.n == 1:
+        yield from _enumerate_algebras_1(W, cap, bound)
+        return
+    bound = W.arity_bound if bound is None else bound
+    cols = tuple((u, x) for u in W.label_set(0) for x in objects.get(u, ()))
+    fslots = []
+    for a in enumerate_arities(1, bound, W.variance):
+        ak = canonical_key(a)
+        for pc in product(cols, repeat=a.top + 1):
+            bcols = tuple(c[0] for c in pc)
+            for lam in W.label_set(1, ak, (bcols,)):
+                fslots.append((ak, pc, lam))
+    shapes = []
+    for a in enumerate_arities(2, bound, W.variance):
+        lay = layout(a)
+        ak2 = canonical_key(a)
+        for pcols in product(cols, repeat=lay.colour_count):
+            pasg = {("c", i): c for i, c in enumerate(pcols)}
+            atoms = [lay.atom(ad) for ad in lay.chain_addrs] + [lay.atom(lay.target_addr)]
+            infos = []
+            for at in atoms:
+                cak = canonical_key(at.spec.arity)
+                pck = tuple(pasg[a2] for a2 in at.spec.colours)
+                infos.append((at.address, cak, pck, W.label_set(1, cak, (tuple(e[0] for e in pck),))))
+            for lams in product(*[info[3] for info in infos]):
+                wasg = {("c", i): pcols[i][0] for i in range(lay.colour_count)}
+                for (addr, _, _, _), lam in zip(infos, lams):
+                    wasg[addr] = lam
+                wkey = lib_whole_key(lay.spec, wasg.__getitem__)
+                chainslots = [
+                    (cak, pck, lam) for (_, cak, pck, _), lam in zip(infos[:-1], lams[:-1])
+                ]
+                tslot = (infos[-1][1], infos[-1][2], lams[-1])
+                for mu in W.label_set(2, ak2, wkey):
+                    shapes.append(((ak2, pcols, lams[:-1], lams[-1], mu), chainslots, tslot))
+    for sizes in product(range(cap + 1), repeat=len(fslots)):
+        fibres = {slot: tuple(f"m{i}" for i in range(s)) for slot, s in zip(fslots, sizes)}
+        keys, options, dead = [], [], False
+        for key, chainslots, tslot in shapes:
+            dom = list(product(*[fibres.get(cs, ()) for cs in chainslots]))
+            cod = fibres.get(tslot, ())
+            if dom and not cod:
+                dead = True
+                break
+            funcs = (
+                [dict(zip(dom, outs)) for outs in product(cod, repeat=len(dom))]
+                if dom
+                else [{}]
+            )
+            keys.append(key)
+            options.append(funcs)
+        if dead:
+            continue
+        for combo in product(*options):
+            yield AlgebraPresentation(W, dict(objects), fibres, dict(zip(keys, combo)))
 
 
 # ---------------------------------------------------------------------------
@@ -1157,6 +1317,11 @@ def field_theories(Z, budget=1_000_000):
 
 # ---------------------------------------------------------------------------
 # non-elemental arities
+
+
+def mul(T, a, tkey):
+    """The label set of an elemental arity at a boundary key."""
+    return T.label_set(a.k, canonical_key(a), tkey)
 
 
 def mul_general(T, ga, tkeys):

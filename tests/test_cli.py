@@ -14,6 +14,7 @@ from htk.ordcomb import PLANAR, SYMMETRIC
 from htk.theory import lower_key, whole_key
 from htk.zoo import assoc_operad, cyclic_monoid_theory, discrete_category, init_operad, terminal_theory
 from test_constructions import detheorize_input_without_a_table, endo_input_without_a_label_set, unitless
+from test_theory import RELABEL_FAULTS, RELABEL_KEY, with_output
 
 
 def run(argv, capsys):
@@ -468,6 +469,12 @@ class TestVerbs:
         src.write_text(serialize(T))
         code, out, _ = run(["validate", str(src)], capsys)
         assert code == 1 and out.startswith("stray-composition at 'k2|t0|1/'")
+
+    def test_validate_rejects_a_relabeling_that_is_not_a_bijection(self, tmp_path, capsys):
+        src = tmp_path / "relabel.json"
+        src.write_text(serialize(with_output(assoc_operad(bound=2), RELABEL_KEY, *RELABEL_FAULTS["12"])))
+        code, out, _ = run(["validate", str(src)], capsys)
+        assert code == 1 and out.startswith(f"relabeling-bijection at {RELABEL_KEY[0]!r}")
 
     def test_apply_endo_of_a_unitless_theory(self, tmp_path, capsys):
         src, out = tmp_path / "nounit.json", tmp_path / "en.json"

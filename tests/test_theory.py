@@ -40,6 +40,22 @@ STRAYS = {
     "cyclic:binary": (lambda: cyclic_monoid_theory(2), ("k1|t2|", ()), [(5, 5)]),
 }
 
+# an entry of ``assoc_operad(bound=2)`` whose unary inputs are the
+# identity ``(1,)``, so the last input is relabeled; each output below
+# makes the relabeling send both orders to one
+RELABEL_KEY = ("k2|t2|2,2,1/21:11", (("*",) * 5, ()))
+RELABEL_FAULTS = {
+    "12": (((1,), (1,), (1, 2)), (1, 2)),
+    "21": (((1,), (1,), (2, 1)), (2, 1)),
+}
+
+
+def with_output(T, key, ins, out):
+    """A copy of T whose composition entry at ``key`` sends ``ins`` to ``out``."""
+    U = copy.deepcopy(T)
+    U.composition[key][ins] = out
+    return U
+
 
 def mk2(top, sizes, maps):
     return Arity(2, top, (Level(tuple(sizes), tuple(maps)),))
@@ -127,6 +143,17 @@ class TestValidateZoo:
         # a construction that copies whole entries carries the stray inputs
         if T.n:
             assert validate_theory(detheorize_T(U)).status == "fail"
+
+    @pytest.mark.parametrize("name", sorted(RELABEL_FAULTS))
+    def test_relabeling_that_is_not_a_bijection_fails(self, name):
+        # only the relabeling law sees this fault: closure, typing and
+        # associativity all hold
+        ins, out = RELABEL_FAULTS[name]
+        U = with_output(assoc_operad(bound=2), RELABEL_KEY, ins, out)
+        ak, lk = RELABEL_KEY
+        assert validate_theory(U).lines() == [
+            f"relabeling-bijection at {ak}: witness={(lk,)!r} expected='injective' actual={(out, out)!r}"
+        ]
 
     def test_unit_removal_warns(self):
         T = cyclic_monoid_theory(2)
