@@ -11,7 +11,6 @@ finite sets) and "planar" (order-preserving maps only).
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations_with_replacement, product
 
 SYMMETRIC = "symmetric"
@@ -66,10 +65,6 @@ class FinMap:
 
     def is_identity(self):
         return self.source == self.target and self.table == tuple(range(1, self.source + 1))
-
-
-def identity_map(n, variance=SYMMETRIC):
-    return FinMap(n, n, tuple(range(1, n + 1)), variance)
 
 
 def compose_maps(g, f):
@@ -137,31 +132,6 @@ class Family:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Nerve:
-    """A chain of composable arrows over an ordinal I.
-
-    ``objects`` has |I|+1 entries (indexed 0..|I|) and ``arrows`` has |I|
-    entries (indexed 1..|I|); arrow i runs from object i-1 to object i.
-    """
-
-    objects: tuple
-    arrows: tuple
-
-    def __post_init__(self):
-        if len(self.objects) != len(self.arrows) + 1:
-            raise ValueError("a nerve over I needs |I|+1 objects and |I| arrows")
-
-    def arrow(self, i):
-        return self.arrows[i - 1]
-
-    def object(self, j):
-        return self.objects[j]
-
-    def size(self):
-        return len(self.arrows)
-
-
 def bracket(I):
     """The bracket of a finite ordinal: 0..|I|."""
     size = I.size if isinstance(I, FinOrd) else int(I)
@@ -195,32 +165,6 @@ def pushforward_family(phi, x):
         raise ValueError("family must be indexed by the bracket of the source")
     bm = bracket_map(phi)
     return Family(tuple(x[bm(j)] for j in range(0, phi.target + 1)), offset=0)
-
-
-def pushforward_nerve(phi, f, mul, unit):
-    """Push a nerve along phi, composing each fiber's arrows.
-
-    ``mul(g, h)`` must be the composite "g after h" and ``unit(x)`` the
-    identity at the object x; an empty fiber contributes the identity of
-    the object sitting at the fiber's base point.
-    """
-    if f.size() != phi.source:
-        raise ValueError("nerve size must equal the source of phi")
-    bm = bracket_map(phi)
-    objects = tuple(f.object(bm(j)) for j in range(0, phi.target + 1))
-    arrows = []
-    for j in range(1, phi.target + 1):
-        lo, hi = bm(j - 1), bm(j)
-        if lo == hi:
-            arrows.append(unit(f.object(lo)))
-        else:
-            arrows.append(reduce(lambda acc, i: mul(f.arrow(i), acc), range(lo + 2, hi + 1), f.arrow(lo + 1)))
-    return Nerve(objects, tuple(arrows))
-
-
-def is_elemental(J):
-    """Whether the entry of a bracket-indexed family at the maximum is a singleton."""
-    return len(J.entries[-1]) == 1
 
 
 def enumerate_maps(I, J, variance=SYMMETRIC):

@@ -557,7 +557,8 @@ class TheoryMorphism:
 
     ``actions[d]`` maps each source table key ``(akey, tkey)`` to a dict
     sending source labels to target labels, for every d from 0 (whose one
-    key is ``DIM0_KEY``).
+    key is ``DIM0_KEY``).  ``actions`` is read-only: the morphisms of one
+    :func:`enumerate_morphisms` search share the dicts inside it.
     """
 
     source: TheoryPresentation
@@ -670,18 +671,6 @@ def _reader(idx):
     return lambda val: ()
 
 
-class _Template:
-    """A key template with a reader for the flat tuple of its variable
-    values, which determines the filled key; lookups through a template
-    are memoised on that tuple, so keys are only built on a miss."""
-
-    __slots__ = ("tpl", "read")
-
-    def __init__(self, tpl):
-        self.tpl = tpl
-        self.read = _reader(tuple(_flatten(tpl)))
-
-
 def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     """All strict morphisms S -> T, in a deterministic order.
 
@@ -696,6 +685,16 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     image of the output.  Every leaf is therefore a morphism, and the
     morphisms come in the order of a plain enumeration of typed
     assignments.
+
+    The images of a variable that pass its checks depend only on the
+    earlier variables that its key and its checks read, so they are
+    memoised per variable on those values.  Keying on values is sound
+    although ``True == 1``: what the memo stands in for (T's label sets,
+    its composition entries, q's action and the final ``==``) already
+    cannot tell ``==``-equal labels apart, and the memo holds T's own
+    label objects.  Consecutive morphisms share, by identity, each
+    ``{label: image}`` dict and each dimension's dict whose variables
+    did not change between the two leaves.
 
     ``over=(p, q)``, for morphisms p out of S and q out of T, keeps only
     the F with q∘F = p: each image is drawn from the labels over the
@@ -712,18 +711,33 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     n = S.n
     p, q = over if over is not None else (None, None)
     vi = _VarIndex(S)
-    # (dimension, arity key, table key, label, key template, degree)
+    # (dimension, arity key, key template, degree)
     slots = []
+    # the variables that each variable's key template reads
+    reads = []
+    # the table keys with labels, each one run of variables lo..hi-1:
+    # (table key, labels, lo, hi); and per dimension (its keys, the
+    # range of its groups)
+    groups, dims = [], []
     for d in range(n + 1):
         table = S.table(d)
+        start = len(groups)
         # a table of one key, such as the colours', needs no sort
         for key in sorted(table, key=repr) if len(table) > 1 else table:
             ak, skey = key
-            tkey = _Template(image_key(vi, ak, skey))
+            tpl = image_key(vi, ak, skey)
+            keyvars = tuple(_flatten(tpl))
+            lo = len(slots)
             for lab in table[key]:
                 vi.add(d, key, lab)
-                slots.append((d, ak, key, lab, tkey, p and p.act(d, ak, skey, lab)))
+                slots.append((d, ak, tpl, p and p.act(d, ak, skey, lab)))
+                reads.append(set(keyvars))
+            if lo < len(slots):
+                groups.append((key, table[key], lo, len(slots)))
+        dims.append((tuple(g[0] for g in groups[start:]), start, len(groups)))
     nv = len(slots)
+    # the group of each variable, and past the last one none
+    group_of = [g for g, (_, _, lo, hi) in enumerate(groups) for _ in range(lo, hi)] + [len(groups)]
 
     # each composition instance, filed under the last variable it reads:
     # (arity key, lower key template, input reader, output variable)
@@ -732,40 +746,57 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     for _, lay, ak, asg, lk, site_keys in composition_sites(S, pool, S.composition):
         entry = S.composition[(ak, lk)]
         keys = site_keys()
-        ltpl = _Template(lower_key(lay.spec, map_assignment(vi, lay, asg).__getitem__))
-        lower = tuple(_flatten(ltpl.tpl))
+        ltpl = lower_key(lay.spec, map_assignment(vi, lay, asg).__getitem__)
+        lower = tuple(_flatten(ltpl))
         for inputs, out in entry.items():
             ins = tuple(vi.act(*key, lab) for key, lab in zip(keys, inputs))
             tgt = vi.act(*keys[-1], out)
-            checks[max(ins + (tgt,) + lower)].append((ak, ltpl, _reader(ins), tgt))
+            i = max(ins + (tgt,) + lower)
+            checks[i].append((ak, ltpl, _reader(ins), tgt))
+            reads[i].update(ins, lower, (tgt,))
+    # the earlier variables that decide which images of variable i pass
+    readers = [_reader(tuple(sorted(r - {i}))) for i, r in enumerate(reads)]
 
     val = [None] * nv
-    domains, entries = {}, {}
+    passing = [{} for _ in range(nv)]
     found = []
 
     def domain(i):
-        d, ak, _, _, tkey, deg = slots[i]
-        dk = (tkey, tkey.read(val), deg)
-        dom = domains.get(dk)
-        if dom is None:
-            key = _fill(tkey.tpl, val)
-            dom = T.label_set(d, ak, key)
-            if q is not None:
-                dom = tuple(y for y in dom if q.act(d, ak, key, y) == deg)
-            domains[dk] = dom
+        d, ak, tpl, deg = slots[i]
+        key = _fill(tpl, val)
+        dom = T.label_set(d, ak, key)
+        if q is not None:
+            dom = tuple(y for y in dom if q.act(d, ak, key, y) == deg)
         return dom
 
-    def commutes(ak, lk, ins, tgt):
-        ek = (lk, lk.read(val))
-        entry = entries.get(ek)
-        if entry is None:
-            entry = entries[ek] = T.composition.get((ak, _fill(lk.tpl, val)), {})
-        return entry.get(ins(val)) == val[tgt]
+    def commutes(ak, ltpl, ins, tgt):
+        return T.composition.get((ak, _fill(ltpl, val)), {}).get(ins(val)) == val[tgt]
+
+    def images(i):
+        """The images of variable i that pass every check filed under it."""
+        memo = passing[i]
+        rk = readers[i](val)
+        imgs = memo.get(rk)
+        if imgs is None:
+            imgs = []
+            for img in domain(i):
+                val[i] = img
+                if all(commutes(*c) for c in checks[i]):
+                    imgs.append(img)
+            imgs = memo[rk] = tuple(imgs)
+        return imgs
+
+    # the {label: image} dict of each group, and the {table key: inner
+    # dict} dict of each dimension, at the last leaf; a dict none of
+    # whose variables changed since is handed to the next morphism too
+    inner = [None] * len(groups)
+    outer = [{} for _ in dims]
 
     # depth first, without recursion: pending[i] holds the untried images
-    # of variable i, and the node visited has len(pending) assigned
+    # of variable i, and the node visited has len(pending) assigned;
+    # variables from ``low`` on changed since the last morphism was built
     pending = []
-    nodes = deepest = 0
+    nodes = deepest = low = 0
     while True:
         if nodes == budget:
             raise RuntimeError(
@@ -773,30 +804,34 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
                 f"deepest at {deepest} of {nv} variables assigned"
             )
         nodes += 1
-        deepest = max(deepest, len(pending))
-        if len(pending) == nv:
-            found.append(_morphism_of(S, T, slots, val))
+        depth = len(pending)
+        if depth > deepest:
+            deepest = depth
+        if depth == nv:
+            g0 = group_of[low]
+            for g in range(g0, len(groups)):
+                _, labs, lo, hi = groups[g]
+                inner[g] = dict(zip(labs, val[lo:hi]))
+            for d, (keys, a, b) in enumerate(dims):
+                if b > g0:
+                    outer[d] = dict(zip(keys, inner[a:b]))
+            found.append(TheoryMorphism(S, T, dict(enumerate(outer))))
+            low = nv
         else:
-            pending.append(iter(domain(len(pending))))
+            pending.append(iter(images(depth)))
+        # back up to the deepest variable with an untried image (``pending``
+        # itself stands for an exhausted iterator)
         while pending:
-            i = len(pending) - 1
-            for img in pending[i]:
-                val[i] = img
-                if all(commutes(*c) for c in checks[i]):
-                    break
-            else:
-                pending.pop()
-                continue
-            break
-        if not pending:
+            img = next(pending[-1], pending)
+            if img is not pending:
+                break
+            pending.pop()
+        else:
             return found
-
-
-def _morphism_of(S, T, slots, val):
-    actions = {d: {} for d in range(S.n + 1)}
-    for (d, _, key, lab, _, _), img in zip(slots, val):
-        actions[d].setdefault(key, {})[lab] = img
-    return TheoryMorphism(S, T, actions)
+        i = len(pending) - 1
+        val[i] = img
+        if i < low:
+            low = i
 
 
 @lru_cache(maxsize=None)

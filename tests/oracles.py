@@ -72,7 +72,14 @@ Differential tests compare the library against these:
   flag per size vector, and for the algebras a body of their own for
   acting dimension 1 and a dimension-2 layout walk by hand, where
   ``graded`` lists its fibre slots and shapes once (in dimension 2 from
-  the site walk of a pair skeleton) and runs one candidate loop.
+  the site walk of a pair skeleton) and runs one candidate loop;
+* ``enumerate_morphisms`` (with ``_Template`` and ``_morphism_of``): the
+  morphism search that runs every check of a variable on each candidate
+  image each time it reaches the variable, memoising only label sets and
+  composition entries (through ``_Template``), and builds every dict of
+  each found morphism afresh, where ``theory.enumerate_morphisms``
+  memoises each variable's passing images on the earlier variables they
+  depend on and shares unchanged dicts between consecutive morphisms.
 """
 
 import functools
@@ -105,6 +112,10 @@ from htk.theory import (
     Violation,
     _arity_of_key,
     _coloured,
+    _fill,
+    _flatten,
+    _reader,
+    _VarIndex,
     build_theory,
     compose,
     key_assignment,
@@ -112,6 +123,8 @@ from htk.theory import (
     site_inputs,
     site_slots,
 )
+from htk.theory import composition_sites as lib_composition_sites
+from htk.theory import image_key as lib_image_key
 from htk.theory import lower_key as lib_lower_key
 from htk.theory import whole_key as lib_whole_key
 
@@ -1313,6 +1326,119 @@ def field_theories(Z, budget=1_000_000):
                 picks[-1] += 1
                 labs[-1] = opts[len(picks) - 1][picks[-1]]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the morphism search, each candidate checked at every visit
+
+
+class _Template:
+    """A key template with a reader for the flat tuple of its variable
+    values, which determines the filled key; lookups through a template
+    are memoised on that tuple, so keys are only built on a miss."""
+
+    __slots__ = ("tpl", "read")
+
+    def __init__(self, tpl):
+        self.tpl = tpl
+        self.read = _reader(tuple(_flatten(tpl)))
+
+
+def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
+    """``theory.enumerate_morphisms`` checking every candidate image of a
+    variable against its checks each time the search reaches it, and
+    building each found morphism's actions afresh (``_morphism_of``)."""
+    if S.n != T.n or S.variance != T.variance:
+        return []
+    bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
+    n = S.n
+    p, q = over if over is not None else (None, None)
+    vi = _VarIndex(S)
+    # (dimension, arity key, table key, label, key template, degree)
+    slots = []
+    for d in range(n + 1):
+        table = S.table(d)
+        # a table of one key, such as the colours', needs no sort
+        for key in sorted(table, key=repr) if len(table) > 1 else table:
+            ak, skey = key
+            tkey = _Template(lib_image_key(vi, ak, skey))
+            for lab in table[key]:
+                vi.add(d, key, lab)
+                slots.append((d, ak, key, lab, tkey, p and p.act(d, ak, skey, lab)))
+    nv = len(slots)
+
+    # each composition instance, filed under the last variable it reads:
+    # (arity key, lower key template, input reader, output variable)
+    checks = [[] for _ in range(nv)]
+    pool = enumerate_arities(n + 1, bound, S.variance)
+    for _, lay, ak, asg, lk, site_keys in lib_composition_sites(S, pool, S.composition):
+        entry = S.composition[(ak, lk)]
+        keys = site_keys()
+        ltpl = _Template(lib_lower_key(lay.spec, map_assignment(vi, lay, asg).__getitem__))
+        lower = tuple(_flatten(ltpl.tpl))
+        for inputs, out in entry.items():
+            ins = tuple(vi.act(*key, lab) for key, lab in zip(keys, inputs))
+            tgt = vi.act(*keys[-1], out)
+            checks[max(ins + (tgt,) + lower)].append((ak, ltpl, _reader(ins), tgt))
+
+    val = [None] * nv
+    domains, entries = {}, {}
+    found = []
+
+    def domain(i):
+        d, ak, _, _, tkey, deg = slots[i]
+        dk = (tkey, tkey.read(val), deg)
+        dom = domains.get(dk)
+        if dom is None:
+            key = _fill(tkey.tpl, val)
+            dom = T.label_set(d, ak, key)
+            if q is not None:
+                dom = tuple(y for y in dom if q.act(d, ak, key, y) == deg)
+            domains[dk] = dom
+        return dom
+
+    def commutes(ak, lk, ins, tgt):
+        ek = (lk, lk.read(val))
+        entry = entries.get(ek)
+        if entry is None:
+            entry = entries[ek] = T.composition.get((ak, _fill(lk.tpl, val)), {})
+        return entry.get(ins(val)) == val[tgt]
+
+    # depth first, without recursion: pending[i] holds the untried images
+    # of variable i, and the node visited has len(pending) assigned
+    pending = []
+    nodes = deepest = 0
+    while True:
+        if nodes == budget:
+            raise RuntimeError(
+                f"morphism enumeration budget exceeded: {nodes} nodes visited, "
+                f"deepest at {deepest} of {nv} variables assigned"
+            )
+        nodes += 1
+        deepest = max(deepest, len(pending))
+        if len(pending) == nv:
+            found.append(_morphism_of(S, T, slots, val))
+        else:
+            pending.append(iter(domain(len(pending))))
+        while pending:
+            i = len(pending) - 1
+            for img in pending[i]:
+                val[i] = img
+                if all(commutes(*c) for c in checks[i]):
+                    break
+            else:
+                pending.pop()
+                continue
+            break
+        if not pending:
+            return found
+
+
+def _morphism_of(S, T, slots, val):
+    actions = {d: {} for d in range(S.n + 1)}
+    for (d, _, key, lab, _, _), img in zip(slots, val):
+        actions[d].setdefault(key, {})[lab] = img
+    return TheoryMorphism(S, T, actions)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import re
 from itertools import permutations, product
 
 import pytest
+from nerves import Nerve, pushforward_nerve
 
 from htk.arity import Arity, Level, arity_of_key, canonical_key, enumerate_arities
 from htk.constructions import (
@@ -28,10 +29,8 @@ from htk.ordcomb import (
     SYMMETRIC,
     FinMap,
     FinOrd,
-    Nerve,
     compose_maps,
     enumerate_maps,
-    pushforward_nerve,
 )
 from htk.theory import SKIP, build_theory, validate_theory
 from htk.zoo import (

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from nerves import Nerve, identity_map, is_elemental, pushforward_nerve
 
 from htk.ordcomb import (
     PLANAR,
@@ -13,16 +14,12 @@ from htk.ordcomb import (
     Family,
     FinMap,
     FinOrd,
-    Nerve,
     bracket,
     bracket_map,
     compose_bracket_maps,
     compose_maps,
     enumerate_maps,
-    identity_map,
-    is_elemental,
     pushforward_family,
-    pushforward_nerve,
 )
 
 
