@@ -192,8 +192,10 @@ def enumerate_categories(max_obj, max_arrows):
 
     Objects are ``x0..x{k-1}``; arrow labels are positional.  The
     composition table is filled by backtracking; identity composites are
-    forced up front, and after each choice every composable triple of
-    the partial table is checked for associativity again.
+    forced up front, and they alone are associative.  After each choice
+    only the composable triples that read the new composite, as fg, gh,
+    l = (fg)h or r = f(gh), are checked for associativity: every other
+    triple reads what it read when it last passed.
     """
     for k in range(1, max_obj + 1):
         obs = tuple(f"x{i}" for i in range(k))
@@ -228,23 +230,28 @@ def enumerate_categories(max_obj, max_arrows):
                         else:
                             free.append(((x, y, z), (f, g)))
 
-            def assoc_ok(comp):
-                for x, y, f in arrows:
-                    for z in obs:
-                        for g in hom[(y, z)]:
-                            fg = comp.get(((x, y, z), (f, g)))
-                            if fg is None:
-                                continue
-                            for w in obs:
-                                for h in hom[(z, w)]:
-                                    gh = comp.get(((y, z, w), (g, h)))
-                                    l = comp.get(((x, z, w), (fg, h)))
-                                    if gh is None:
-                                        continue
-                                    r = comp.get(((x, y, w), (f, gh)))
-                                    if l is not None and r is not None and l != r:
-                                        return False
-                return True
+            def holds(x, y, z, w, f, g, h):
+                fg = comp.get(((x, y, z), (f, g)))
+                gh = comp.get(((y, z, w), (g, h)))
+                if fg is None or gh is None:
+                    return True
+                l = comp.get(((x, z, w), (fg, h)))
+                r = comp.get(((x, y, w), (f, gh)))
+                return l is None or r is None or l == r
+
+            def touched(x, y, z, f, g):
+                """The composable triples that read the composite of (f, g)."""
+                for w in obs:
+                    for h in hom[(z, w)]:
+                        yield x, y, z, w, f, g, h
+                    for e in hom[(w, x)]:
+                        yield w, x, y, z, e, f, g
+                    for a, b in product(hom[(x, w)], hom[(w, y)]):
+                        if comp.get(((x, w, y), (a, b))) == f:
+                            yield x, w, y, z, a, b, g
+                    for b, c in product(hom[(y, w)], hom[(w, z)]):
+                        if comp.get(((y, w, z), (b, c))) == g:
+                            yield x, y, w, z, f, b, c
 
             def fill(i):
                 if i == len(free):
@@ -253,7 +260,7 @@ def enumerate_categories(max_obj, max_arrows):
                 (x, y, z), (f, g) = free[i]
                 for h in hom[(x, z)]:
                     comp[((x, y, z), (f, g))] = h
-                    if assoc_ok(comp):
+                    if all(holds(*t) for t in touched(x, y, z, f, g)):
                         yield from fill(i + 1)
                     del comp[((x, y, z), (f, g))]
 

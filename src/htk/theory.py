@@ -671,6 +671,7 @@ def _reader(idx):
     return lambda val: ()
 
 
+@gc_paused
 def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     """All strict morphisms S -> T, in a deterministic order.
 
@@ -692,9 +693,19 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     although ``True == 1``: what the memo stands in for (T's label sets,
     its composition entries, q's action and the final ``==``) already
     cannot tell ``==``-equal labels apart, and the memo holds T's own
-    label objects.  Consecutive morphisms share, by identity, each
-    ``{label: image}`` dict and each dimension's dict whose variables
-    did not change between the two leaves.
+    label objects.
+
+    No variable from the *cut* on (the end of the group of the last
+    variable that another one reads) reads another from there on, so
+    their images are fixed once the variables before the cut are.  The
+    depth-first walk runs over those only.  At each node at the cut it
+    takes the suffix variables' images up to the first empty set, adds
+    the nodes the walk would have visited below in closed form (the sum
+    over t of the product of the first t image counts), and lists the
+    morphisms in the walk's order as a product: of each suffix group's
+    ``{label: image}`` dicts, and of the dimensions' dicts built from
+    them, once per node at the cut, which the morphisms share.  So do
+    consecutive morphisms, for each dict whose variables did not change.
 
     ``over=(p, q)``, for morphisms p out of S and q out of T, keeps only
     the F with q∘F = p: each image is drawn from the labels over the
@@ -703,7 +714,9 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
     Raises ``RuntimeError`` once more than ``budget`` search nodes are
     visited, naming the nodes visited and the deepest variable reached.
     A node is one partial assignment that passed its checks; pruning only
-    removes nodes, so a search within budget stays within it.
+    removes nodes, so a search within budget stays within it.  Below the
+    cut the walk would first run straight down, so a budget that ends
+    there names the depth it would have stopped at.
     """
     if S.n != T.n or S.variance != T.variance:
         return []
@@ -755,7 +768,11 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
             checks[i].append((ak, ltpl, _reader(ins), tgt))
             reads[i].update(ins, lower, (tgt,))
     # the earlier variables that decide which images of variable i pass
-    readers = [_reader(tuple(sorted(r - {i}))) for i, r in enumerate(reads)]
+    earlier = [tuple(sorted(r - {i})) for i, r in enumerate(reads)]
+    readers = list(map(_reader, earlier))
+    # the cut: the end of the group of the last variable that another one
+    # reads, so that no variable from there on reads another from there on
+    cut = max([groups[group_of[e[-1]]][3] for e in earlier if e], default=0)
 
     val = [None] * nv
     passing = [{} for _ in range(nv)]
@@ -787,38 +804,72 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
         return imgs
 
     # the {label: image} dict of each group, and the {table key: inner
-    # dict} dict of each dimension, at the last leaf; a dict none of
+    # dict} dict of each dimension, at the last morphism; a dict none of
     # whose variables changed since is handed to the next morphism too
     inner = [None] * len(groups)
     outer = [{} for _ in dims]
 
-    # depth first, without recursion: pending[i] holds the untried images
-    # of variable i, and the node visited has len(pending) assigned;
-    # variables from ``low`` on changed since the last morphism was built
+    # depth first over the variables before the cut, without recursion:
+    # pending[i] holds the untried images of variable i, and the node
+    # visited has len(pending) assigned; variables from ``low`` on changed
+    # since the last morphism was built
     pending = []
+    sets = [None] * (nv - cut)
     nodes = deepest = low = 0
     while True:
-        if nodes == budget:
+        depth = len(pending)
+        # at the cut, the subtree is the product of the suffix's images: it
+        # has ``sub`` nodes and reaches ``reach`` variables down, to the
+        # first empty set; val takes each variable's first image
+        sub = reach = 0
+        if depth == cut:
+            size = 1
+            for j in range(cut, nv):
+                imgs = sets[reach] = images(j)
+                if not imgs:
+                    break
+                val[j] = imgs[0]
+                size *= len(imgs)
+                sub += size
+                reach += 1
+        if nodes + sub >= budget:
+            # the walk would visit budget - nodes of these nodes, straight
+            # down from this one first
+            deepest = max(deepest, depth - 1 + min(budget - nodes, reach + 1))
             raise RuntimeError(
-                f"morphism enumeration budget exceeded: {nodes} nodes visited, "
+                f"morphism enumeration budget exceeded: {budget} nodes visited, "
                 f"deepest at {deepest} of {nv} variables assigned"
             )
-        nodes += 1
-        depth = len(pending)
-        if depth > deepest:
-            deepest = depth
-        if depth == nv:
+        nodes += 1 + sub
+        if depth + reach > deepest:
+            deepest = depth + reach
+        if depth < cut:
+            pending.append(iter(images(depth)))
+        elif reach == nv - cut:
+            # one combination is one leaf built from val; more are the
+            # product of each suffix dimension's dicts, each the product of
+            # its groups' {label: image} dicts
+            gp = len(groups) if size == 1 else group_of[cut]
             g0 = group_of[low]
-            for g in range(g0, len(groups)):
+            for g in range(g0, gp):
                 _, labs, lo, hi = groups[g]
                 inner[g] = dict(zip(labs, val[lo:hi]))
             for d, (keys, a, b) in enumerate(dims):
-                if b > g0:
+                if g0 < b <= gp:
                     outer[d] = dict(zip(keys, inner[a:b]))
-            found.append(TheoryMorphism(S, T, dict(enumerate(outer))))
+            if size == 1:
+                found.append(TheoryMorphism(S, T, dict(enumerate(outer))))
+            else:
+                choices = [
+                    [dict(zip(labs, c)) for c in product(*sets[lo - cut:hi - cut])] for _, labs, lo, hi in groups[gp:]
+                ]
+                per_dim = [
+                    [dict(zip(keys, (*inner[a:gp], *c))) for c in product(*choices[max(a - gp, 0):b - gp])]
+                    if b > gp else (outer[d],)
+                    for d, (keys, a, b) in enumerate(dims)
+                ]
+                found.extend(TheoryMorphism(S, T, dict(enumerate(ds))) for ds in product(*per_dim))
             low = nv
-        else:
-            pending.append(iter(images(depth)))
         # back up to the deepest variable with an untried image (``pending``
         # itself stands for an exhausted iterator)
         while pending:

@@ -59,6 +59,10 @@ Differential tests compare the library against these:
   composite rule to one tabulator;
 * ``cospan_clusters`` and ``loop_classes``: each with its own
   union-find, where ``bases`` shares one (``_classes``);
+* ``enumerate_categories``: re-checks every composable triple of the
+  partial composition table after each choice, where
+  ``bases.enumerate_categories`` checks only the triples that read the
+  new composite;
 * ``field_theories``: the forward-checked search that checks every base
   composition instance, where ``bases.field_theories`` checks one
   instance per gluing class (``BasePresentation.gluings``);
@@ -79,7 +83,9 @@ Differential tests compare the library against these:
   composition entries (through ``_Template``), and builds every dict of
   each found morphism afresh, where ``theory.enumerate_morphisms``
   memoises each variable's passing images on the earlier variables they
-  depend on and shares unchanged dicts between consecutive morphisms.
+  depend on and shares unchanged dicts between consecutive morphisms;
+  it walks every variable, where the library multiplies out the
+  variables from its cut on, which ``search_cut`` finds by brute force.
 """
 
 import functools
@@ -95,6 +101,7 @@ from htk.bases import (
     _flow,
     _instance_places,
     _set_partitions,
+    category_from_tables,
     detached_shape,
     tensor_morphisms,
     tensor_objects,
@@ -1255,6 +1262,74 @@ def loop_classes(C):
     return cls
 
 
+def enumerate_categories(max_obj, max_arrows):
+    """``bases.enumerate_categories`` checking every composable triple of
+    the partial table for associativity again after each choice."""
+    for k in range(1, max_obj + 1):
+        obs = tuple(f"x{i}" for i in range(k))
+        slots = [(a, b) for a in obs for b in obs]
+        base = k  # identities
+
+        def profiles(i, left):
+            if i == len(slots):
+                yield ()
+                return
+            a, b = slots[i]
+            lo = 1 if a == b else 0
+            for n in range(lo, min(max_arrows, lo + left) + 1):
+                for rest in profiles(i + 1, left - (n - lo)):
+                    yield (n,) + rest
+
+        for prof in profiles(0, max_arrows - base):
+            hom = {}
+            for (a, b), n in zip(slots, prof):
+                hom[(a, b)] = tuple(("a", a, b, m) for m in range(n))
+            ident = {a: ("a", a, a, 0) for a in obs}
+            arrows = [(x, y, f) for (x, y), fs in hom.items() for f in fs]
+            comp = {}
+            free = []
+            for x, y, f in arrows:
+                for z in obs:
+                    for g in hom[(y, z)]:
+                        if f == ident[x]:
+                            comp[((x, y, z), (f, g))] = g
+                        elif g == ident[z]:
+                            comp[((x, y, z), (f, g))] = f
+                        else:
+                            free.append(((x, y, z), (f, g)))
+
+            def assoc_ok(comp):
+                for x, y, f in arrows:
+                    for z in obs:
+                        for g in hom[(y, z)]:
+                            fg = comp.get(((x, y, z), (f, g)))
+                            if fg is None:
+                                continue
+                            for w in obs:
+                                for h in hom[(z, w)]:
+                                    gh = comp.get(((y, z, w), (g, h)))
+                                    l = comp.get(((x, z, w), (fg, h)))
+                                    if gh is None:
+                                        continue
+                                    r = comp.get(((x, y, w), (f, gh)))
+                                    if l is not None and r is not None and l != r:
+                                        return False
+                return True
+
+            def fill(i):
+                if i == len(free):
+                    yield category_from_tables(obs, hom, ident, comp)
+                    return
+                (x, y, z), (f, g) = free[i]
+                for h in hom[(x, z)]:
+                    comp[((x, y, z), (f, g))] = h
+                    if assoc_ok(comp):
+                        yield from fill(i + 1)
+                    del comp[((x, y, z), (f, g))]
+
+            yield from fill(0)
+
+
 # ---------------------------------------------------------------------------
 # field theories, every instance checked
 
@@ -1344,15 +1419,11 @@ class _Template:
         self.read = _reader(tuple(_flatten(tpl)))
 
 
-def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
-    """``theory.enumerate_morphisms`` checking every candidate image of a
-    variable against its checks each time the search reaches it, and
-    building each found morphism's actions afresh (``_morphism_of``)."""
-    if S.n != T.n or S.variance != T.variance:
-        return []
-    bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
+def _search_plan(S, bound, p):
+    """The search's variables, ``(dimension, arity key, table key, label,
+    key template, degree)``, and the checks filed under each variable:
+    ``(arity key, lower key template, input variables, output variable)``."""
     n = S.n
-    p, q = over if over is not None else (None, None)
     vi = _VarIndex(S)
     # (dimension, arity key, table key, label, key template, degree)
     slots = []
@@ -1367,8 +1438,7 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
                 slots.append((d, ak, key, lab, tkey, p and p.act(d, ak, skey, lab)))
     nv = len(slots)
 
-    # each composition instance, filed under the last variable it reads:
-    # (arity key, lower key template, input reader, output variable)
+    # each composition instance, filed under the last variable it reads
     checks = [[] for _ in range(nv)]
     pool = enumerate_arities(n + 1, bound, S.variance)
     for _, lay, ak, asg, lk, site_keys in lib_composition_sites(S, pool, S.composition):
@@ -1379,7 +1449,39 @@ def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
         for inputs, out in entry.items():
             ins = tuple(vi.act(*key, lab) for key, lab in zip(keys, inputs))
             tgt = vi.act(*keys[-1], out)
-            checks[max(ins + (tgt,) + lower)].append((ak, ltpl, _reader(ins), tgt))
+            checks[max(ins + (tgt,) + lower)].append((ak, ltpl, ins, tgt))
+    return slots, checks
+
+
+def search_cut(S, T, bound=None, over=None):
+    """Where ``theory.enumerate_morphisms`` stops its walk: the first
+    start of a table key's run of variables (or the end) from which no
+    variable's key template or checks read another from there on, tried
+    start by start; with the dimension of each variable."""
+    bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
+    slots, checks = _search_plan(S, bound, over and over[0])
+    reads = [set(_flatten(tkey.tpl)) for _, _, _, _, tkey, _ in slots]
+    for i, filed in enumerate(checks):
+        for _, lk, ins, tgt in filed:
+            reads[i].update(_flatten(lk.tpl), ins, (tgt,))
+    nv = len(slots)
+    starts = [i for i in range(nv) if i == 0 or slots[i][:3] != slots[i - 1][:3]] + [nv]
+    cut = next(c for c in starts if all(j < c or j == i for i in range(c, nv) for j in reads[i]))
+    return cut, [slot[0] for slot in slots]
+
+
+def enumerate_morphisms(S, T, bound=None, budget=2_000_000, over=None):
+    """``theory.enumerate_morphisms`` checking every candidate image of a
+    variable against its checks each time the search reaches it, and
+    building each found morphism's actions afresh (``_morphism_of``), by
+    a walk over every variable."""
+    if S.n != T.n or S.variance != T.variance:
+        return []
+    bound = min(S.arity_bound, T.arity_bound) if bound is None else bound
+    p, q = over if over is not None else (None, None)
+    slots, filed = _search_plan(S, bound, p)
+    nv = len(slots)
+    checks = [[(ak, lk, _reader(ins), tgt) for ak, lk, ins, tgt in c] for c in filed]
 
     val = [None] * nv
     domains, entries = {}, {}

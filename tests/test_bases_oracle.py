@@ -6,7 +6,8 @@ order included, since ``validate_base`` walks ``compose`` in that order
 under its associativity cap.  ``validate_base`` must print the oracle's
 report on every skeleton and on corrupted copies of the small ones,
 ``validate_category`` must reach the oracle's status, and the shared
-union-find must group as both old ones did.
+union-find must group as both old ones did.  The category enumerator
+must list the oracle's categories in its order.
 """
 
 from dataclasses import fields, replace
@@ -153,3 +154,12 @@ def test_validate_category_status_equals_oracle():
     statuses = [bases.validate_category(C).status for C in cats]
     assert statuses == [oracles.validate_category(C).status for C in cats]
     assert statuses.count("fail") == len(BROKEN_CATEGORIES)
+
+
+@pytest.mark.parametrize("box,count", [((2, 4), 214), ((3, 4), 227)])
+def test_enumerate_categories_equals_oracle(box, count):
+    # the same categories in the same order, composition tables included:
+    # the search workload samples (2, 4) by index
+    got = [repr(C) for C in bases.enumerate_categories(*box)]
+    assert got == [repr(C) for C in oracles.enumerate_categories(*box)]
+    assert len(got) == count

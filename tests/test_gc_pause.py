@@ -18,7 +18,7 @@ from htk.ordcomb import SYMMETRIC
 from htk.theory import SKIP, build_theory, gc_paused
 from htk.zoo import cyclic_monoid_theory
 
-PAUSED = {"build_theory", "theta", "deloop", "parse", "convolve"}
+PAUSED = {"build_theory", "theta", "deloop", "parse", "convolve", "enumerate_morphisms"}
 
 
 def _paused_kernels():

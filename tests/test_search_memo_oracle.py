@@ -4,10 +4,14 @@
 pass its checks, keyed on the earlier variables they depend on, and
 consecutive morphisms share the dicts whose variables did not change.
 ``oracles.enumerate_morphisms`` checks every candidate image at every
-visit and builds each morphism afresh.  Both must give the same
-morphisms in the same order, compared by ``repr`` so that ``True`` and
-``1`` stay apart, and the same budget errors.  As the morphisms of one
-search share dicts, using them must leave every one as it was.
+visit and builds each morphism afresh, by a walk over every variable,
+where the library walks only the variables before its cut and
+multiplies out the rest.  Both must give the same morphisms in the same
+order, compared by ``repr`` so that ``True`` and ``1`` stay apart, and
+the same budget errors, also for budgets that end inside a product
+(``oracles.search_cut`` finds the cut by trying every start).  As the
+morphisms of one search share dicts, using them must leave every one as
+it was.  The results and node counts of the heaviest searches are pinned.
 """
 
 import copy
@@ -18,6 +22,7 @@ import pytest
 from test_plan_oracle import _target_label, _true_or_one
 from test_search_oracle import GRADED, PLAIN
 
+from htk.arity import canonical_key
 from htk.constructions import theta
 from htk.graded import (
     compose_morphisms,
@@ -81,6 +86,19 @@ def _middle_colour_pair():
     return (S, T, 2), {}
 
 
+def _two_dimension_suffix():
+    # S has dimension-2 labels only on the 2-arity whose boundary holds
+    # nullary 1-cells alone, so no variable reads the images of the unary
+    # 1-cells, which come after the nullary ones: the suffix holds those
+    # and the dimension-2 labels
+    def labels(d, ar, lay, asg):
+        return ("f", "g") if d == 1 else ("u",) if canonical_key(ar) == "k2|t1|0,1/" else ()
+
+    S = build_theory(2, SYMMETRIC, 1, ("*",), labels, lambda *site: SKIP)
+    T = build_theory(2, SYMMETRIC, 1, ("*",), lambda *site: ("a", "b"), lambda *site: SKIP)
+    return (S, T, 1), {}
+
+
 def _case(name):
     if name in GRADED:
         return _over(*GRADED[name])
@@ -91,6 +109,8 @@ def _case(name):
         return (U, U, 1), {}
     if name == "middle-colour":
         return _middle_colour_pair()
+    if name == "two-dimension-suffix":
+        return _two_dimension_suffix()
     return _assoc()[name]
 
 
@@ -102,6 +122,7 @@ CASES = sorted(GRADED) + [
     "assoc:R->R",
     "true-or-one",
     "middle-colour",
+    "two-dimension-suffix",
 ]
 
 
@@ -144,11 +165,71 @@ def test_budget_errors_match_the_previous_search():
         assert _reprs(enumerate_morphisms(*args, b, **kw)) == _reprs(want)
 
 
-def test_found_morphisms_stay_unchanged_after_use():
-    A, B = GRADED["pushR:init:R:lhs"]
+def _outcome(search, args, kw, budget):
+    """What a search gives within ``budget`` nodes: its list, or its text."""
+    try:
+        return _reprs(search(*args, budget, **kw))
+    except RuntimeError as e:
+        return str(e)
+
+
+def _same_at_budgets(name, budgets):
+    args, kw = _case(name)
+    for b in budgets:
+        assert _outcome(enumerate_morphisms, args, kw, b) == _outcome(oracles.enumerate_morphisms, args, kw, b), b
+
+
+@pytest.mark.parametrize("name", ["pushL:cyclic:2:lhs", "pushL:cyclic:2:rhs"])
+def test_a_cut_at_the_start_makes_the_search_one_product(name):
+    args, kw = _case(name)
+    assert oracles.search_cut(*args, **kw)[0] == 0
+    _same_at_budgets(name, range(18))  # 16 nodes
+
+
+def test_a_suffix_across_two_dimensions():
+    args, kw = _case("two-dimension-suffix")
+    cut, dims = oracles.search_cut(*args, **kw)
+    assert dims[cut] == 1 and dims[-1] == 2
+    _same_at_budgets("two-dimension-suffix", range(514))  # 512 nodes
+
+
+def test_suffixes_that_are_empty_or_one_combination():
+    # pushR:init:R: of its 1,024 nodes at the cut, 768 have a suffix
+    # variable without images and 256 exactly one combination
+    _same_at_budgets("pushR:init:R:lhs", [*range(301), *range(301, 4_863, 97), 4_862, 4_863, 4_864])
+
+
+def test_budgets_inside_product_subtrees():
+    # pushL:assoc:lhs is 2 colours and a suffix of 12 variables, so nearly
+    # every budget ends inside the product below one colouring
+    _same_at_budgets("pushL:assoc:lhs", [*range(1, 301), *range(301, 10_303, 257), 10_302, 10_303, 10_304])
+
+
+# (results, the least budget that does not raise) as the walk over every
+# variable counted them
+COUNTS = {
+    "pushL:assoc:lhs": (4_096, 10_303),
+    "pushL:assoc:rhs": (4_096, 10_303),
+    "pushR:init:R:lhs": (256, 4_863),
+    "pushR:init:R:rhs": (256, 4_863),
+    "pushL:init:lhs": (256, 643),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_results_and_nodes_stay_pinned(name):
+    results, nodes = COUNTS[name]
+    args, kw = _case(name)
+    assert len(enumerate_morphisms(*args, nodes, **kw)) == results
+    with pytest.raises(RuntimeError, match=f"exceeded: {nodes - 1} nodes visited"):
+        enumerate_morphisms(*args, nodes - 1, **kw)
+
+
+def _stays_unchanged_after_use(name, step):
+    A, B = GRADED[name]
     found = graded_morphisms(A, B, 1)
     before = [copy.deepcopy(F.actions) for F in found]
-    used = found[::51]
+    used = found[::step]
     for F in used:
         validate_morphism(F, 1)
         from_projection(F.source, F)
@@ -156,3 +237,14 @@ def test_found_morphisms_stay_unchanged_after_use():
             compose_morphisms(G, F)
     assert len(used) > 2
     assert _reprs(found) == [repr(a) for a in before]
+
+
+def test_found_morphisms_stay_unchanged_after_use():
+    # pushR:init:R builds each of its morphisms as one leaf
+    _stays_unchanged_after_use("pushR:init:R:lhs", 51)
+
+
+def test_morphisms_of_one_product_stay_unchanged_after_use():
+    # pushL:cyclic:2:rhs lists its 8 morphisms as one product, and they
+    # share its {label: image} dicts
+    _stays_unchanged_after_use("pushL:cyclic:2:rhs", 3)
