@@ -38,7 +38,7 @@ of objects of C exactly when every isomorphism in C is an identity.
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import inf, prod
 
 from .theory import POINT, ValidationReport, Violation
@@ -294,15 +294,27 @@ class BasePresentation:
 
     @cached_property
     def gluings(self):
-        """The sorted shapes, and the first instance in ``compose`` order
-        of each gluing class (:func:`_gluing_key`) as ``(inst,
-        *_instance_places(...))``: what every field-theory search re-reads."""
+        """The sorted shapes, and the instances a field-theory search
+        checks, each as ``(inst, *_instance_places(...))``.
+
+        A planned instance passes when each of its atoms (:func:`_atoms`)
+        does, so each atom is checked once, at the first instance in
+        ``compose`` order that carries it alone.  An instance without a
+        plan, or with an atom that no instance carries alone, is checked
+        itself; one with no atoms, such as the empty composite, is not.
+        """
         shapes = tuple(sorted(self.ind_morphisms))
-        reps = {}
+        planned, alone, ids = [], {}, {}
         for inst, h in self.compose.items():
             places = _instance_places(inst, h, shapes)
-            reps.setdefault(_gluing_key(inst, h, places), (inst, *places))
-        return shapes, tuple(reps.values())
+            atoms = _atoms(inst, h, places)
+            if atoms is not None:
+                atoms = {ids.setdefault(a, len(ids)) for a in atoms}
+                if len(atoms) == 1:
+                    alone.setdefault(*atoms, (inst, *places))
+            planned.append((inst, places, atoms))
+        own = tuple((inst, *places) for inst, places, atoms in planned if atoms is None or not atoms <= alone.keys())
+        return shapes, tuple(alone.values()) + own
 
 
 def detached_shape(src_obj, tgt_obj, comp):
@@ -733,9 +745,15 @@ def terminal_bgraded(B):
 
 
 def bgraded_validate(B, X):
-    """Typing, closure, unit and associativity report for a graded theory:
-    at most 200 colourings of each composition instance and 200 label
-    pairs of each, and associativity until 2,000 instances are passed."""
+    """Typing, closure, unit and associativity report for a graded theory.
+
+    It samples: at most 200 colourings of each composition instance and
+    200 label pairs of each, and for associativity at most 4 colourings
+    of each composable triple and 4 label triples of each, until more
+    than 2,000 triples are checked.  Each cap that cut a law short adds
+    a warning saying how many instances it cut; the uncapped totals are
+    not counted, as they can take minutes.
+    """
     v = []
     warnings = []
     if set(X.colours) != set(B.ind_objects):
@@ -744,6 +762,15 @@ def bgraded_validate(B, X):
 
     def colourings(*objs):
         return product(*(product(*(X.colours[s] for s in obj)) for obj in objs))
+
+    cut = {}  # (cap, what it counts, what it cuts) -> how many it cut
+
+    def capped(items, cap, what, whole):
+        for i, item in enumerate(items):
+            if i == cap:
+                cut[(cap, what, whole)] = cut.get((cap, what, whole), 0) + 1
+                return
+            yield item
 
     expected_keys = {(shape, cs, ct) for shape, (so, to) in B.ind_morphisms.items() for cs, ct in colourings(so, to)}
     missing = expected_keys - set(X.multimaps)
@@ -767,12 +794,12 @@ def bgraded_validate(B, X):
 
     for inst, h in B.compose.items():
         (a, b, c), (f, g) = inst
-        for ca, cb, cc in islice(colourings(a, b, c), 200):
+        for ca, cb, cc in capped(colourings(a, b, c), 200, "colourings", "composition instances"):
             ff = families(a, b, ca, cb, f)
             gf = families(b, c, cb, cc, g)
             if ff is None or gf is None:
                 continue
-            for lf, lg in islice(product(ff, gf), 200):
+            for lf, lg in capped(product(ff, gf), 200, "label pairs", "coloured composition instances"):
                 out = X.composition(inst, (ca, cb, cc), lf, lg)
                 if out is None or len(out) != len(h):
                     v.append(Violation("composition-shape", inst, (ca, cb, cc, lf, lg), len(h), out))
@@ -782,8 +809,12 @@ def bgraded_validate(B, X):
                         v.append(Violation("composition-typing", inst, (comp, lab), "label of degree", lab))
 
     checked = 0
-    for inst, fg in B.compose.items():
+    for reached, (inst, fg) in enumerate(B.compose.items()):
         if checked > 2000:
+            warnings.append(
+                f"sampled: associativity stopped after {checked:,} checks; "
+                f"{len(B.compose) - reached:,} of {len(B.compose):,} composition instances were not reached"
+            )
             break
         (a, b, c), (f, g) = inst
         for d in B.objects:
@@ -793,13 +824,13 @@ def bgraded_validate(B, X):
                     continue
                 if ((a, b, d), (f, gk)) not in B.compose:
                     continue
-                for ca, cb, cc, cd in islice(colourings(a, b, c, d), 4):
+                for ca, cb, cc, cd in capped(colourings(a, b, c, d), 4, "colourings", "associativity triples"):
                     ff = families(a, b, ca, cb, f)
                     gf = families(b, c, cb, cc, g)
                     kf = families(c, d, cc, cd, k)
                     if ff is None or gf is None or kf is None:
                         continue
-                    for lf, lg, lk in islice(product(ff, gf, kf), 4):
+                    for lf, lg, lk in capped(product(ff, gf, kf), 4, "label triples", "coloured associativity triples"):
                         checked += 1
                         lfg = X.composition(inst, (ca, cb, cc), lf, lg)
                         lgk = X.composition(((b, c, d), (g, k)), (cb, cc, cd), lg, lk)
@@ -810,8 +841,12 @@ def bgraded_validate(B, X):
                         if lhs != rhs:
                             v.append(Violation("associativity", (a, b, c, d), (f, g, k), lhs, rhs))
 
+    warnings[:0] = (
+        f"sampled: {n:,} {whole} have more than {cap} {what}; the first {cap} of each were checked"
+        for (cap, what, whole), n in cut.items()
+    )
     if not X.units:
-        warnings = ("no unit declared",)
+        warnings.append("no unit declared")
     else:
         for (g, x), u in X.units.items():
             idm = B.identity.get((g,))
@@ -1072,11 +1107,14 @@ def field_theories(Z, budget=1_000_000):
     RuntimeError past ``budget`` examined candidates, rejected ones
     included, saying how many were examined and kept.
 
-    One instance per gluing class is checked (``B.gluings``), on this
-    contract: ``Z``'s composition reads an instance only through its
-    gluing (the paths ``_comp_plan`` traces and the generators at their
-    ports), so a class passes or fails as one.  ``zc_build`` and
-    ``terminal_bgraded`` meet it by construction.
+    One instance per atom is checked (``B.gluings``, :func:`_atoms`), on
+    this contract: ``Z``'s composition at a planned instance is computed
+    component by component.  A chain's composite reads only the labels
+    along its path and the generators at its ports; a loop is evaluated
+    the same way; a factor circle's label is carried to its ring.  So an
+    instance passes exactly when each of its atoms passes at the instance
+    that carries it alone.  ``zc_build`` and ``terminal_bgraded`` meet
+    the contract by construction.
     """
     B = Z.base
     gens = tuple(B.ind_objects)
@@ -1154,28 +1192,31 @@ def _instance_places(inst, h, shapes):
     return 1 + max(nf + ng + nh, default=-1), nf, ng, nh
 
 
-def _gluing_key(inst, h, places):
-    """The gluing class of an instance: for each chain of ``_comp_plan``
-    the generator at its start port, each step's (label shape index,
-    generator at its port) and the shape index at its place in ``h``;
-    the same for each loop without the place; the shape indices of the
-    circles and rings; and ``len(h)``.  Without a plan, or with a
-    component neither interval nor circle, ``inst`` is a class of its own."""
+def _atoms(inst, h, places):
+    """The parts of a planned instance that pass or fail on their own.
+
+    A chain of ``_comp_plan`` is the atom ``(path, nh[at])`` and a loop
+    ``(path, s)``, where a path is the generator at its start port and
+    each step's (label shape index, generator at its port), and ``s`` is
+    the shape index of every ring.  A factor circle reads ``s`` and is
+    carried onto a ring of its own shape, so it is no atom.  None without
+    a plan, with a component neither interval nor circle, or when the
+    rings and factor circles read more than one shape index.
+    """
     objs, (f, g) = inst
     plan = None if any(m[0] not in ("i", "o") for m in f + g + h) else _comp_plan(inst, h)
     if plan is None:
-        return inst
+        return None
     chains, loops, circles, rings = plan
     _, nf, ng, nh = places
     read = nf + ng
+    ring = {nh[k] for k in rings} | {read[i] for i in circles}
+    if len(ring) > 1:
+        return None
 
     def path(start, steps):
         return (objs[start[0]][start[1]],) + tuple((read[i], objs[side][slot]) for i, side, slot in steps)
 
-    return (
-        tuple((path(start, steps), nh[at]) for start, steps, at in chains),
-        tuple(path(start, steps) for start, steps in loops),
-        tuple(read[i] for i in circles),
-        tuple(nh[k] for k in rings),
-        len(h),
+    return tuple((path(start, steps), nh[at]) for start, steps, at in chains) + tuple(
+        (path(start, steps), *ring) for start, steps in loops
     )

@@ -64,8 +64,9 @@ Differential tests compare the library against these:
   ``bases.enumerate_categories`` checks only the triples that read the
   new composite;
 * ``field_theories``: the forward-checked search that checks every base
-  composition instance, where ``bases.field_theories`` checks one
-  instance per gluing class (``BasePresentation.gluings``);
+  composition instance, or one instance per gluing class
+  (``gluing_key``, ``gluing_classes``), where ``bases.field_theories``
+  checks one instance per atom (``BasePresentation.gluings``);
 * ``mul_general`` and ``compose_general``: label sets and composites of
   a non-elemental arity, one elemental component at a time, which no
   library route reads, and ``mul``, the label set of one elemental
@@ -93,11 +94,14 @@ import json
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
-from htk.arity import Arity, arity_of_key, canonical_key, concrete, decompose, decompose_general, enumerate_arities, layout, resolve_leaf, slot_ctx
+from general_arity import decompose_general
+
+from htk.arity import Arity, arity_of_key, canonical_key, concrete, decompose, enumerate_arities, layout, resolve_leaf, slot_ctx
 from htk.bases import (
     BasePresentation,
     _bord_chains,
     _chain_end,
+    _comp_plan,
     _flow,
     _instance_places,
     _set_partitions,
@@ -1331,16 +1335,55 @@ def enumerate_categories(max_obj, max_arrows):
 
 
 # ---------------------------------------------------------------------------
-# field theories, every instance checked
+# field theories, every instance or one per gluing class checked
 
 
 _places = functools.lru_cache(maxsize=None)(_instance_places)
 
 
-def field_theories(Z, budget=1_000_000):
+def gluing_key(inst, h, places):
+    """The gluing class of an instance: for each chain of ``_comp_plan``
+    the generator at its start port, each step's (label shape index,
+    generator at its port) and the shape index at its place in ``h``;
+    the same for each loop without the place; the shape indices of the
+    circles and rings; and ``len(h)``.  Without a plan, or with a
+    component neither interval nor circle, ``inst`` is a class of its own."""
+    objs, (f, g) = inst
+    plan = None if any(m[0] not in ("i", "o") for m in f + g + h) else _comp_plan(inst, h)
+    if plan is None:
+        return inst
+    chains, loops, circles, rings = plan
+    _, nf, ng, nh = places
+    read = nf + ng
+
+    def path(start, steps):
+        return (objs[start[0]][start[1]],) + tuple((read[i], objs[side][slot]) for i, side, slot in steps)
+
+    return (
+        tuple((path(start, steps), nh[at]) for start, steps, at in chains),
+        tuple(path(start, steps) for start, steps in loops),
+        tuple(read[i] for i in circles),
+        tuple(nh[k] for k in rings),
+        len(h),
+    )
+
+
+def gluing_classes(B):
+    """The first instance in ``compose`` order of each gluing class of
+    ``B``, as ``bases.field_theories`` files it: ``(inst, depth, nf, ng,
+    nh)``; the checks of the class route."""
+    shapes = tuple(sorted(B.ind_morphisms))
+    reps = {}
+    for inst, h in B.compose.items():
+        places = _places(inst, h, shapes)
+        reps.setdefault(gluing_key(inst, h, places), (inst, *places))
+    return tuple(reps.values())
+
+
+def field_theories(Z, budget=1_000_000, by_class=False):
     """``bases.field_theories`` checking every base composition instance
-    as soon as the last of its shapes is labelled, not one per gluing
-    class."""
+    as soon as the last of its shapes is labelled, or with ``by_class``
+    one instance per gluing class (``gluing_classes``), not one per atom."""
     B = Z.base
     gens = tuple(B.ind_objects)
     shapes = tuple(sorted(B.ind_morphisms))
@@ -1351,7 +1394,10 @@ def field_theories(Z, budget=1_000_000):
         if idm is not None and len(idm) == 1:
             id_shape[detached_shape((g,), (g,), idm[0])] = g
 
-    insts = [(inst, *_places(inst, h, shapes)) for inst, h in B.compose.items()]
+    if by_class:
+        insts = gluing_classes(B)
+    else:
+        insts = [(inst, *_places(inst, h, shapes)) for inst, h in B.compose.items()]
 
     out = []
     seen = 0

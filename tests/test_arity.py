@@ -3,20 +3,9 @@
 from itertools import product
 
 import pytest
+from general_arity import GeneralArity, decompose_general, general_of, pushforward_arity, restrict_arity
 
-from htk.arity import (
-    Arity,
-    GeneralArity,
-    Level,
-    arity_of_key,
-    canonical_key,
-    decompose_general,
-    enumerate_arities,
-    general_of,
-    layout,
-    pushforward_arity,
-    restrict_arity,
-)
+from htk.arity import Arity, Level, arity_of_key, canonical_key, enumerate_arities, layout
 from htk.ordcomb import PLANAR, SYMMETRIC, enumerate_maps
 
 

@@ -114,6 +114,20 @@ class TestGradedOverBases:
         for B in (bord1_skeleton(2, 1), cocorr_fin_skeleton(2)):
             assert bgraded_validate(B, terminal_bgraded(B)).status == "pass"
 
+    def test_a_capped_law_says_it_sampled(self):
+        Z = zc_build(discrete_finite_category(2))
+        report = bgraded_validate(Z.base, Z)
+        assert report.status == "pass"
+        assert report.warnings == (
+            "sampled: 400 composition instances have more than 200 colourings; the first 200 of each were checked",
+            "sampled: 1,830 associativity triples have more than 4 colourings; the first 4 of each were checked",
+            "sampled: associativity stopped after 2,016 checks; 334 of 637 composition instances were not reached",
+        )
+
+    def test_a_law_checked_in_full_says_nothing(self):
+        B = bord1_skeleton(2, 1)
+        assert bgraded_validate(B, terminal_bgraded(B)).warnings == ()
+
     def test_corrupted_graded_composition_fails(self):
         B = bord1_skeleton(2, 1)
         T = terminal_bgraded(B)

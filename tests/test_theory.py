@@ -3,9 +3,10 @@
 import copy
 
 import pytest
+from general_arity import GeneralArity, decompose_general
 from oracles import compose_general, mul_general
 
-from htk.arity import Arity, GeneralArity, Level, decompose_general, layout
+from htk.arity import Arity, Level, layout
 from htk.constructions import detheorize_T, endo_planar
 from htk.theory import (
     compose,
